@@ -10,6 +10,30 @@
 
 namespace cocg::core {
 
+namespace {
+
+/// Accuracy of a fresh `kind` model fit on a `train_fraction` split of
+/// `all` and scored on the rest. A corpus too small to hold a pair out
+/// (either side of the split empty) trains and scores on everything.
+double held_out_accuracy(ml::ModelKind kind, const ml::Dataset& all,
+                         double train_fraction, Rng& rng) {
+  auto [train, test] = all.split(train_fraction, rng);
+  if (train.empty() || test.empty()) {
+    train = all;
+    test = all;
+  }
+  const auto model = ml::make_classifier(kind);
+  model->fit(train, rng);
+  std::vector<int> pred;
+  pred.reserve(test.size());
+  for (std::size_t i = 0; i < test.size(); ++i) {
+    pred.push_back(model->predict(test.x(i)));
+  }
+  return ml::accuracy(test.labels(), pred);
+}
+
+}  // namespace
+
 StagePredictor::StagePredictor(const GameProfile* profile,
                                PredictorConfig cfg)
     : profile_(profile),
@@ -59,19 +83,7 @@ void StagePredictor::fit_active(Rng& rng) {
   COCG_CHECK_MSG(!all.empty(), "corpus produced no training pairs");
 
   // Pooled model with held-out accuracy (the paper's 75/25 split).
-  auto [train, test] = all.split(cfg_.train_fraction, rng);
-  if (train.empty() || test.empty()) {
-    train = all;
-    test = all;
-  }
-  pooled_ = ml::make_classifier(cfg_.model);
-  pooled_->fit(train, rng);
-  std::vector<int> pred;
-  pred.reserve(test.size());
-  for (std::size_t i = 0; i < test.size(); ++i) {
-    pred.push_back(pooled_->predict(test.x(i)));
-  }
-  accuracy_ = ml::accuracy(test.labels(), pred);
+  accuracy_ = held_out_accuracy(cfg_.model, all, cfg_.train_fraction, rng);
 
   // Refit the pooled model on everything for online use.
   pooled_ = ml::make_classifier(cfg_.model);
@@ -166,18 +178,8 @@ double StagePredictor::evaluate_model(ml::ModelKind kind, Rng& rng) const {
         "evaluate_model: predictor was restored without its training "
         "corpus, nothing to evaluate on");
   }
-  const ml::Dataset all = build_dataset(corpus_);
-  auto [train, test] = all.split(cfg_.train_fraction, rng);
-  if (train.empty() || test.empty()) return 1.0;
-  auto model = ml::make_classifier(kind);
-  model->fit(train, rng);
-
-  std::vector<int> pred;
-  pred.reserve(test.size());
-  for (std::size_t i = 0; i < test.size(); ++i) {
-    pred.push_back(model->predict(test.x(i)));
-  }
-  return ml::accuracy(test.labels(), pred);
+  return held_out_accuracy(kind, build_dataset(corpus_), cfg_.train_fraction,
+                           rng);
 }
 
 // ---------------------------------------------------------------------------

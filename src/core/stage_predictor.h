@@ -108,8 +108,10 @@ class StagePredictor {
   void replace_model(Rng& rng);
 
   /// Evaluate a specific model kind on this predictor's corpus without
-  /// changing the active model (Fig. 15 sweeps). Throws
-  /// std::runtime_error when !can_retrain().
+  /// changing the active model (Fig. 15 sweeps), split exactly as
+  /// training splits it: a corpus too small to hold a pair out is scored
+  /// on the pairs it trained on. Throws std::runtime_error when
+  /// !can_retrain().
   double evaluate_model(ml::ModelKind kind, Rng& rng) const;
 
   /// Snapshot the trained state. Compiled models are shared, not copied;

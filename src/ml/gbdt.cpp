@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 
 #include "common/check.h"
@@ -47,10 +48,19 @@ void GbdtClassifier::fit(const Dataset& data, Rng& rng) {
   // Current raw scores per row per class.
   std::vector<std::vector<double>> score(n, base_score_);
 
+  // Every tree of this fit splits the same matrix, so node sort orders
+  // carry over between classes and rounds (ml/tree.h).
+  SortedOrderMemo memo(data.features());
+  // Indexed by dataset row id; rows outside a round's subsample are stale.
+  std::vector<std::vector<double>> residuals(k, std::vector<double>(n));
+  std::vector<std::int32_t> leaf_of(n);
+  std::vector<std::uint32_t> rows;
+  std::vector<double> p;
+
   for (int round = 0; round < cfg_.n_rounds; ++round) {
     // Row subsample for this round.
-    std::vector<std::size_t> rows(n);
-    std::iota(rows.begin(), rows.end(), std::size_t{0});
+    rows.resize(n);
+    std::iota(rows.begin(), rows.end(), std::uint32_t{0});
     if (cfg_.subsample < 1.0) {
       rng.shuffle(rows.begin(), rows.end());
       rows.resize(std::max<std::size_t>(
@@ -60,20 +70,14 @@ void GbdtClassifier::fit(const Dataset& data, Rng& rng) {
     }
 
     // Gradient targets: one-hot − softmax probability.
-    std::vector<FeatureRow> xs;
-    xs.reserve(rows.size());
-    std::vector<std::vector<double>> residuals(
-        k, std::vector<double>(rows.size()));
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-      const std::size_t i = rows[r];
-      xs.push_back(data.x(i));
-      std::vector<double> p = score[i];
+    for (const std::uint32_t i : rows) {
+      p = score[i];
       softmax_inplace(p);
       for (std::size_t c = 0; c < k; ++c) {
         const double target = (static_cast<std::size_t>(data.y(i)) == c)
                                   ? 1.0
                                   : 0.0;
-        residuals[c][r] = target - p[c];
+        residuals[c][i] = target - p[c];
       }
     }
 
@@ -81,16 +85,20 @@ void GbdtClassifier::fit(const Dataset& data, Rng& rng) {
     round_trees.reserve(k);
     for (std::size_t c = 0; c < k; ++c) {
       RegressionTree tree(cfg_.tree);
-      tree.fit(xs, residuals[c]);
-      round_trees.push_back(std::move(tree));
-    }
-
-    // Update every row's score (not just the subsample) so later gradients
-    // see the full model.
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t c = 0; c < k; ++c) {
-        score[i][c] += cfg_.learning_rate * round_trees[c].predict(data.x(i));
+      std::fill(leaf_of.begin(), leaf_of.end(), -1);
+      tree.fit(memo, residuals[c], rows, leaf_of);
+      // Update every row's score (not just the subsample) so later
+      // gradients see the full model; fitted rows take the leaf they
+      // reached while the tree was built.
+      const auto& nodes = tree.nodes();
+      for (std::size_t i = 0; i < n; ++i) {
+        const double step =
+            leaf_of[i] >= 0
+                ? nodes[static_cast<std::size_t>(leaf_of[i])].value
+                : tree.predict(data.x(i));
+        score[i][c] += cfg_.learning_rate * step;
       }
+      round_trees.push_back(std::move(tree));
     }
     trees_.push_back(std::move(round_trees));
   }

@@ -30,8 +30,9 @@ void RandomForestClassifier::fit(const Dataset& data, Rng& rng) {
       boot.push_back(static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(data.size()) - 1)));
     }
-    // A bootstrap sample can miss classes; keep the full class count by
-    // injecting one example of the max label so proba vectors line up.
+    // A bootstrap sample can miss classes, so a tree may know fewer than
+    // num_classes_; predict_proba here and CompiledForest (which pads
+    // every leaf row to the forest's class count) keep forest width.
     Dataset sample = data.subset(boot);
     DecisionTreeClassifier tree(tree_cfg);
     tree.fit(sample, rng);

@@ -1,6 +1,7 @@
 #include "ml/tree.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <numeric>
 
@@ -245,28 +246,162 @@ int DecisionTreeClassifier::depth() const {
 // RegressionTree
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Slots a node view of n rows and F features can take: F runs of n
+/// orders, F + 1 bounds, at most n - 1 candidates per feature.
+std::size_t view_bound(std::size_t n, std::size_t n_features) {
+  return 2 * n_features * n + 1;
+}
+
+/// Write a node's split-search view to `out`, which has room for
+/// view_bound slots (SortedOrderMemo::view documents the layout); returns
+/// the slots used. Orders: one run of rows.size() ids per feature, each
+/// sorted by its feature starting from the previous run (the first from
+/// `rows`); std::sort is not stable, so the chain, not just the row set,
+/// fixes the order within ties. Candidates: per feature, the positions i
+/// at which the sorted value strictly increases — the only places a split
+/// can go.
+std::size_t write_view(const std::vector<FeatureRow>& x,
+                       std::span<const std::uint32_t> rows,
+                       std::size_t n_features, std::uint32_t* out) {
+  const std::size_t n = rows.size();
+  std::uint32_t* order = out;
+  for (std::size_t f = 0; f < n_features; ++f, order += n) {
+    if (f == 0) {
+      std::copy(rows.begin(), rows.end(), order);
+    } else {
+      std::copy(order - n, order, order);
+    }
+    std::sort(order, order + n, [&](std::uint32_t a, std::uint32_t b) {
+      return x[a][f] < x[b][f];
+    });
+  }
+  std::uint32_t* bounds = out + n_features * n;
+  std::size_t end = n_features * n + n_features + 1;
+  for (std::size_t f = 0; f < n_features; ++f) {
+    bounds[f] = static_cast<std::uint32_t>(end);
+    const std::uint32_t* run = out + f * n;
+    for (std::size_t i = 1; i < n; ++i) {
+      if (x[run[i - 1]][f] < x[run[i]][f]) {
+        out[end++] = static_cast<std::uint32_t>(i);
+      }
+    }
+  }
+  bounds[n_features] = static_cast<std::uint32_t>(end);
+  return end;
+}
+
+constexpr std::uint32_t kEmptySlot = ~std::uint32_t{0};
+
+std::uint64_t row_set_hash(std::span<const std::uint32_t> rows) {
+  std::uint64_t h = 1469598103934665603ULL ^ rows.size();
+  for (const std::uint32_t r : rows) {
+    h ^= r;
+    h *= 1099511628211ULL;
+  }
+  // splitmix64 finalizer: the slot index takes the low bits, which FNV
+  // alone mixes poorly.
+  h ^= h >> 30;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  h ^= h >> 27;
+  h *= 0x94d049bb133111ebULL;
+  h ^= h >> 31;
+  return h;
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// SortedOrderMemo
+// ---------------------------------------------------------------------------
+
+SortedOrderMemo::SortedOrderMemo(const std::vector<FeatureRow>& x)
+    : x_(&x),
+      n_features_(x.empty() ? 0 : x[0].size()),
+      slots_(64, kEmptySlot) {
+  COCG_EXPECTS_MSG(x.size() < kEmptySlot, "row ids must fit 32 bits");
+}
+
+const std::uint32_t* SortedOrderMemo::view(
+    std::span<const std::uint32_t> rows) {
+  const std::size_t n = rows.size();
+  const std::uint64_t h = row_set_hash(rows);
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t s = h & mask;
+  for (; slots_[s] != kEmptySlot; s = (s + 1) & mask) {
+    const Entry& e = entries_[slots_[s]];
+    if (e.hash == h && e.size == n &&
+        std::equal(rows.begin(), rows.end(), e.rows)) {
+      ++hits_;
+      return e.rows + n;
+    }
+  }
+  // Miss: store the row list and its view in the current block, or in a
+  // fresh one when the worst case does not fit. Blocks never move, so
+  // entries keep plain pointers and no growth ever copies the arena.
+  const std::size_t bound = n + view_bound(n, n_features_);
+  if (static_cast<std::size_t>(block_end_ - block_next_) < bound) {
+    const std::size_t size = std::max(kBlockSlots, bound);
+    blocks_.emplace_back(new std::uint32_t[size]);
+    block_next_ = blocks_.back().get();
+    block_end_ = block_next_ + size;
+  }
+  const Entry e{h, block_next_, n};
+  std::copy(rows.begin(), rows.end(), block_next_);
+  const std::size_t used =
+      n + write_view(*x_, rows, n_features_, block_next_ + n);
+  block_next_ += used;
+  arena_size_ += used;
+  slots_[s] = static_cast<std::uint32_t>(entries_.size());
+  entries_.push_back(e);
+  if (2 * entries_.size() > slots_.size()) grow();
+  return e.rows + n;
+}
+
+void SortedOrderMemo::grow() {
+  std::vector<std::uint32_t> slots(2 * slots_.size(), kEmptySlot);
+  const std::size_t mask = slots.size() - 1;
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    std::size_t s = entries_[i].hash & mask;
+    while (slots[s] != kEmptySlot) s = (s + 1) & mask;
+    slots[s] = static_cast<std::uint32_t>(i);
+  }
+  slots_ = std::move(slots);
+}
+
+// ---------------------------------------------------------------------------
+// RegressionTree
+// ---------------------------------------------------------------------------
+
 struct RegressionTree::BuildCtx {
   const std::vector<FeatureRow>* x = nullptr;
   const std::vector<double>* y = nullptr;
+  SortedOrderMemo* memo = nullptr;  ///< null: sort into `scratch`
+  /// Row ids; every node owns a contiguous ascending range.
+  std::vector<std::uint32_t> rows;
+  std::vector<std::uint32_t> right;    ///< partition buffer
+  std::vector<std::uint32_t> scratch;  ///< memo-free node view
+  std::span<std::int32_t> leaf_of;     ///< empty: leaves not recorded
 };
 
 namespace {
 
-/// Best variance-reduction split using prefix sums over sorted values.
+/// Best variance-reduction split using prefix sums over the node's sorted
+/// orders, evaluated at its split candidates (write_view layout).
 SplitChoice best_mse_split(const std::vector<FeatureRow>& x,
                            const std::vector<double>& y,
-                           const std::vector<std::size_t>& idx,
-                           std::size_t min_leaf) {
+                           std::span<const std::uint32_t> rows,
+                           const std::uint32_t* view, std::size_t min_leaf) {
   SplitChoice best;
-  const std::size_t n = idx.size();
+  const std::size_t n = rows.size();
   const std::size_t n_features = x[0].size();
-  std::vector<std::size_t> order(idx);
 
   // A split must actually reduce the node's squared error; otherwise the
   // node stays a leaf (constant targets would "split" at error 0 == 0).
   {
     double sum = 0.0, sum2 = 0.0;
-    for (std::size_t i : idx) {
+    for (const std::uint32_t i : rows) {
       sum += y[i];
       sum2 += y[i] * y[i];
     }
@@ -275,32 +410,42 @@ SplitChoice best_mse_split(const std::vector<FeatureRow>& x,
   }
 
   for (std::size_t f = 0; f < n_features; ++f) {
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return x[a][f] < x[b][f];
-    });
+    const std::uint32_t* order = view + f * n;
+    const std::uint32_t* cand = view + view[n_features * n + f];
+    const std::uint32_t* cand_end = view + view[n_features * n + f + 1];
+    // A feature without an admissible split (constant in the node, or
+    // only ties near the ends) is never scored: skip its sums.
+    const std::uint32_t* first = std::lower_bound(cand, cand_end, min_leaf);
+    if (first == cand_end || n - *first < min_leaf) continue;
     double right_sum = 0.0, right_sum2 = 0.0;
-    for (std::size_t i : order) {
-      right_sum += y[i];
-      right_sum2 += y[i] * y[i];
+    for (std::size_t r = 0; r < n; ++r) {
+      const double yi = y[order[r]];
+      right_sum += yi;
+      right_sum2 += yi * yi;
     }
+    // Move rows one by one from right to left; the split between
+    // positions i-1 and i is scored only where the value increases.
     double left_sum = 0.0, left_sum2 = 0.0;
-    for (std::size_t i = 1; i < n; ++i) {
-      const double yi = y[order[i - 1]];
-      left_sum += yi;
-      left_sum2 += yi * yi;
-      right_sum -= yi;
-      right_sum2 -= yi * yi;
-      const double lo = x[order[i - 1]][f];
-      const double hi = x[order[i]][f];
-      if (lo >= hi) continue;
-      if (i < min_leaf || n - i < min_leaf) continue;
-      const auto nl = static_cast<double>(i);
-      const auto nr = static_cast<double>(n - i);
+    std::size_t i = 1;
+    for (const std::uint32_t* c = first; c != cand_end; ++c) {
+      const std::size_t at = *c;
+      if (n - at < min_leaf) break;  // so is every later candidate
+      for (; i <= at; ++i) {
+        const double yi = y[order[i - 1]];
+        left_sum += yi;
+        left_sum2 += yi * yi;
+        right_sum -= yi;
+        right_sum2 -= yi * yi;
+      }
+      const auto nl = static_cast<double>(at);
+      const auto nr = static_cast<double>(n - at);
       // Total within-node squared error = Σy² − (Σy)²/n on each side.
       const double err =
           (left_sum2 - left_sum * left_sum / nl) +
           (right_sum2 - right_sum * right_sum / nr);
       if (err < best.score) {
+        const double lo = x[order[at - 1]][f];
+        const double hi = x[order[at]][f];
         best.found = true;
         best.feature = f;
         best.threshold = lo + (hi - lo) / 2.0;
@@ -317,25 +462,51 @@ void RegressionTree::fit(const std::vector<FeatureRow>& x,
                          const std::vector<double>& y) {
   COCG_EXPECTS(!x.empty());
   COCG_EXPECTS(x.size() == y.size());
-  nodes_.clear();
-
+  COCG_EXPECTS_MSG(x.size() < kEmptySlot, "row ids must fit 32 bits");
   BuildCtx ctx;
   ctx.x = &x;
   ctx.y = &y;
-  std::vector<std::size_t> idx(x.size());
-  std::iota(idx.begin(), idx.end(), std::size_t{0});
-  build(ctx, idx, 0);
+  ctx.rows.resize(x.size());
+  std::iota(ctx.rows.begin(), ctx.rows.end(), std::uint32_t{0});
+  fit_rows(ctx);
 }
 
-int RegressionTree::build(BuildCtx& ctx, std::vector<std::size_t>& idx,
+void RegressionTree::fit(SortedOrderMemo& memo, const std::vector<double>& y,
+                         std::span<const std::uint32_t> rows,
+                         std::span<std::int32_t> leaf_of) {
+  const auto& x = memo.matrix();
+  COCG_EXPECTS(!rows.empty());
+  COCG_EXPECTS(x.size() == y.size() && x.size() == leaf_of.size());
+  COCG_EXPECTS_MSG(std::adjacent_find(rows.begin(), rows.end(),
+                                      std::greater_equal<>()) == rows.end() &&
+                       rows.back() < x.size(),
+                   "rows must be strictly ascending ids into the matrix");
+  BuildCtx ctx;
+  ctx.x = &x;
+  ctx.y = &y;
+  ctx.memo = &memo;
+  ctx.rows.assign(rows.begin(), rows.end());
+  ctx.leaf_of = leaf_of;
+  fit_rows(ctx);
+}
+
+void RegressionTree::fit_rows(BuildCtx& ctx) {
+  nodes_.clear();
+  ctx.right.resize(ctx.rows.size());
+  build(ctx, 0, ctx.rows.size(), 0);
+}
+
+int RegressionTree::build(BuildCtx& ctx, std::size_t begin, std::size_t end,
                           int depth) {
   const auto& x = *ctx.x;
   const auto& y = *ctx.y;
-  const std::size_t n = idx.size();
+  const std::span<const std::uint32_t> rows(ctx.rows.data() + begin,
+                                            end - begin);
+  const std::size_t n = rows.size();
   COCG_CHECK(n > 0);
 
   double mean = 0.0;
-  for (std::size_t i : idx) mean += y[i];
+  for (const std::uint32_t i : rows) mean += y[i];
   mean /= static_cast<double>(n);
 
   const int me = static_cast<int>(nodes_.size());
@@ -343,25 +514,50 @@ int RegressionTree::build(BuildCtx& ctx, std::vector<std::size_t>& idx,
   nodes_[static_cast<std::size_t>(me)].value = mean;
   nodes_[static_cast<std::size_t>(me)].n_samples = n;
 
-  if (depth >= cfg_.max_depth || n < cfg_.min_samples_split) return me;
-
-  const SplitChoice split = best_mse_split(x, y, idx, cfg_.min_samples_leaf);
-  if (!split.found) return me;
-
-  std::vector<std::size_t> left_idx, right_idx;
-  for (std::size_t i : idx) {
-    (x[i][split.feature] <= split.threshold ? left_idx : right_idx)
-        .push_back(i);
+  auto make_leaf = [&] {
+    if (!ctx.leaf_of.empty()) {
+      for (const std::uint32_t i : rows) ctx.leaf_of[i] = me;
+    }
+    return me;
+  };
+  if (depth >= cfg_.max_depth || n < cfg_.min_samples_split) {
+    return make_leaf();
   }
-  COCG_CHECK(!left_idx.empty() && !right_idx.empty());
-  idx.clear();
-  idx.shrink_to_fit();
+
+  const std::size_t n_features = x[0].size();
+  const std::uint32_t* view = nullptr;
+  if (ctx.memo != nullptr) {
+    view = ctx.memo->view(rows);
+  } else {
+    ctx.scratch.resize(view_bound(n, n_features));
+    write_view(x, rows, n_features, ctx.scratch.data());
+    view = ctx.scratch.data();
+  }
+  const SplitChoice split =
+      best_mse_split(x, y, rows, view, cfg_.min_samples_leaf);
+  if (!split.found) return make_leaf();
+
+  // Stable partition in place: left rows compact to the front of the
+  // range, right rows detour through ctx.right, so both children's ranges
+  // stay ascending.
+  std::size_t n_left = 0, n_right = 0;
+  for (std::size_t r = begin; r < end; ++r) {
+    const std::uint32_t i = ctx.rows[r];
+    if (x[i][split.feature] <= split.threshold) {
+      ctx.rows[begin + n_left++] = i;
+    } else {
+      ctx.right[n_right++] = i;
+    }
+  }
+  COCG_CHECK(n_left > 0 && n_right > 0);
+  std::copy_n(ctx.right.begin(), n_right,
+              ctx.rows.begin() + static_cast<std::ptrdiff_t>(begin + n_left));
 
   nodes_[static_cast<std::size_t>(me)].feature =
       static_cast<int>(split.feature);
   nodes_[static_cast<std::size_t>(me)].threshold = split.threshold;
-  const int l = build(ctx, left_idx, depth + 1);
-  const int r = build(ctx, right_idx, depth + 1);
+  const int l = build(ctx, begin, begin + n_left, depth + 1);
+  const int r = build(ctx, begin + n_left, end, depth + 1);
   nodes_[static_cast<std::size_t>(me)].left = l;
   nodes_[static_cast<std::size_t>(me)].right = r;
   return me;

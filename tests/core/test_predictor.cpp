@@ -171,6 +171,45 @@ TEST(StagePredictor, EvaluateModelAllKinds) {
   }
 }
 
+TEST(StagePredictor, EvaluateModelOnePairCorpusIsMeasured) {
+  // One run with one execution stage gives one training pair: the 75/25
+  // split leaves the train side empty, so evaluation falls back to
+  // training and scoring on that pair, exactly as training does.
+  const GameProfile p = toy_profile();
+  StagePredictor pred(&p, PredictorConfig{});
+  Rng rng(11);
+  pred.train({TrainingRun{{0, 2, 0}, 1, 0}}, rng);
+  EXPECT_EQ(pred.accuracy(), 1.0);
+  EXPECT_EQ(pred.predict_next({}, 1, 0), 2);
+  for (ml::ModelKind kind :
+       {ml::ModelKind::kDtc, ml::ModelKind::kRf, ml::ModelKind::kGbdt}) {
+    EXPECT_EQ(pred.evaluate_model(kind, rng), 1.0)
+        << ml::model_kind_name(kind);
+  }
+  // The forest's bootstrap draws show a model was fit, not assumed.
+  Rng before = rng;
+  pred.evaluate_model(ml::ModelKind::kRf, rng);
+  EXPECT_NE(rng.next_u64(), before.next_u64());
+}
+
+TEST(StagePredictor, EvaluateModelDegenerateSplitScoresAllPairs) {
+  // Same history, player and mode, different next stage: no model can
+  // score both pairs. A 1% train fraction of four pairs is an empty
+  // train side; the evaluation must measure the fallback model (at most
+  // 3 of 4 pairs right), never report perfect accuracy.
+  const GameProfile p = toy_profile();
+  PredictorConfig cfg;
+  cfg.train_fraction = 0.01;
+  StagePredictor pred(&p, cfg);
+  Rng rng(12);
+  pred.train({TrainingRun{{0, 1, 0, 2, 0}, 1, 0},
+              TrainingRun{{0, 1, 0, 3, 0}, 1, 0}},
+             rng);
+  const double dtc = pred.evaluate_model(ml::ModelKind::kDtc, rng);
+  EXPECT_LE(dtc, 0.75);
+  EXPECT_EQ(dtc, pred.accuracy());
+}
+
 TEST(StagePredictor, ModeDisambiguatesBranches) {
   // Two modes with opposite chains: mode 0 → 1,2; mode 1 → 2,1.
   const GameProfile p = toy_profile();

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/check.h"
+#include "ml/compiled.h"
 #include "ml/metrics.h"
 
 namespace cocg::ml {
@@ -102,6 +105,37 @@ TEST(RandomForest, BootstrapFractionReducesTreeData) {
   rf.fit(d, fit);
   // Still learns the easy problem.
   EXPECT_GE(accuracy(d.labels(), rf.predict_all(d.features())), 0.9);
+}
+
+TEST(RandomForest, BootstrapMissingTopClassKeepsForestWidth) {
+  // One example of the top class among 40: a half-size bootstrap misses
+  // it with probability (40/41)^20 ≈ 0.6, so some trees only know 2 of
+  // the forest's 3 classes.
+  Rng rng(12);
+  Dataset d({"x", "y"});
+  for (int i = 0; i < 40; ++i) {
+    d.add({rng.normal(0, 1.0), rng.normal(0, 1.0)}, i % 2);
+  }
+  d.add({10.0, 10.0}, 2);
+  RandomForestConfig cfg;
+  cfg.n_trees = 10;
+  cfg.bootstrap_fraction = 0.5;
+  RandomForestClassifier rf(cfg);
+  Rng fit(13);
+  rf.fit(d, fit);
+  ASSERT_EQ(rf.num_classes(), 3);
+  const auto narrow = std::count_if(
+      rf.trees().begin(), rf.trees().end(),
+      [](const DecisionTreeClassifier& t) { return t.num_classes() < 3; });
+  ASSERT_GT(narrow, 0);
+
+  const CompiledForest compiled = CompiledForest::compile(rf);
+  for (const FeatureRow& x : {FeatureRow{0.0, 0.0}, FeatureRow{10.0, 10.0}}) {
+    const auto p = rf.predict_proba(x);
+    ASSERT_EQ(p.size(), 3u);
+    EXPECT_NEAR(p[0] + p[1] + p[2], 1.0, 1e-12);
+    EXPECT_EQ(compiled.predict_proba(x), p);
+  }
 }
 
 // Property: more trees → training accuracy does not collapse.
