@@ -3,7 +3,7 @@
 // Runs the same open-loop workload (fixed total server count, fixed
 // per-game Poisson arrival stream) on K ∈ {1, 2, 4, 8} shards with
 // threads = K and compares wall-clock simulation speed. Sharding wins
-// twice: shard event loops run concurrently on the EpochPool, and each
+// twice: shard event loops run concurrently on the ShardExecutor, and each
 // shard's CoCG admission pass scans a K× smaller cluster against a K×
 // smaller queue (the distributor's per-request cost is O(servers ×
 // hosted sessions), so splitting the cluster shrinks total scheduler
@@ -15,19 +15,19 @@
 // per wall-second, speedup vs. the 1-shard baseline, and fleet results)
 // for the perf trajectory. Acceptance target: ≥ 2.5× simulated-time
 // throughput speedup at 4 shards / 4 threads vs. 1 shard.
-// A second section compares execution runners (lockstep barriers vs the
-// work-stealing ShardExecutor) on a rotating-skew workload: a synthetic
-// trace with recorded router verdicts sends each burst of arrivals to a
-// different shard, so every epoch has one hot shard and the hot shard
-// keeps moving. Lockstep pays sum-over-epochs of the *slowest* shard
-// (the barrier waits for the laggard every epoch); the steal runner
-// routes the whole horizon ahead (recorded verdicts need no load
-// snapshots) and overlaps different shards' epoch chains, paying only
-// the longest per-shard chain. Reports must stay byte-identical; the
-// ticks/s ratio is the gated speedup (target >= 1.5x on a machine with
-// enough cores to express the overlap — below that the ratio is
-// reported but not enforced, since with one core both runners execute
-// the same total work serially).
+// A second section compares two executor schedules on a rotating-skew
+// workload: a synthetic trace with recorded router verdicts sends each
+// burst of arrivals to a different shard, so every epoch has one hot shard
+// and the hot shard keeps moving. Sync-every-epoch (the same fleet with a
+// no-op barrier hook installed, which forces a rendezvous at every epoch
+// boundary) pays sum-over-epochs of the *slowest* shard; run-ahead routes
+// the whole horizon ahead (recorded verdicts need no load snapshots) and
+// overlaps different shards' epoch chains, paying only the longest
+// per-shard chain. Reports must stay byte-identical; the ticks/s ratio is
+// the gated speedup (target >= 1.5x on a machine with enough cores to
+// express the overlap — below that the ratio is reported but not
+// enforced, since with one core both schedules execute the same total
+// work serially).
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -55,13 +55,13 @@ constexpr int kMinutes = 15;
 constexpr double kArrivalsPerHourPerGame = 150.0;
 constexpr std::uint64_t kSeed = 2024;
 
-// Skewed-runner section defaults (override with --skew-minutes).
+// Rotating-skew section defaults (override with --skew-minutes).
 constexpr int kSkewShards = 4;
 constexpr int kSkewThreads = 4;
 constexpr int kSkewMinutes = 96;
 constexpr int kPhaseMinutes = 8;     ///< how long each shard stays hot
 constexpr int kPhaseArrivals = 16;   ///< burst size routed to the hot shard
-constexpr double kRunnerSpeedupTarget = 1.5;
+constexpr double kRunAheadSpeedupTarget = 1.5;
 
 struct RunResult {
   double wall_s = 0.0;
@@ -107,9 +107,9 @@ RunResult run_config(int shards, int threads, fleet::RouterPolicy policy,
   return r;
 }
 
-// --- runner comparison on a skewed fleet ---------------------------------
+// --- executor schedules on a skewed fleet ---------------------------------
 
-struct RunnerResult {
+struct ScheduleResult {
   double wall_s = 0.0;
   double ticks_per_sec = 0.0;          ///< hardware ticks (all shards) / wall s
   double session_ticks_per_sec = 0.0;  ///< sessions advanced / wall s
@@ -153,17 +153,17 @@ traffic::Trace make_rotating_trace(int minutes) {
   return trace;
 }
 
-RunnerResult run_runner(const core::ModelBank& bank,
-                        const traffic::Trace& trace, fleet::RunnerKind runner,
-                        int minutes) {
+ScheduleResult run_schedule(const core::ModelBank& bank,
+                            const traffic::Trace& trace, bool sync_every_epoch,
+                            int minutes) {
   const auto& suite = bench::paper_suite_static();
   fleet::FleetConfig fcfg;
   fcfg.shards = kSkewShards;
   fcfg.threads = kSkewThreads;
-  // Replayed verdicts need no load snapshots, so the steal coordinator
-  // routes the entire horizon ahead of execution (zero forced syncs).
+  // Replayed verdicts need no load snapshots, so without a barrier hook
+  // the coordinator routes the entire horizon ahead of execution (zero
+  // syncs).
   fcfg.policy = fleet::RouterPolicy::kRoundRobin;
-  fcfg.runner = runner;
   fcfg.seed = kSeed;
   // One-second epochs: per-epoch coordination is exactly what this row
   // measures.
@@ -178,11 +178,12 @@ RunnerResult run_runner(const core::ModelBank& bank,
   std::vector<const game::GameSpec*> specs;
   for (const auto& g : suite) specs.push_back(&g);
   sim.add_trace_arrivals(trace, specs, /*use_recorded_routing=*/true);
+  if (sync_every_epoch) sim.set_barrier_hook([](TimeMs) {});
 
   const DurationMs horizon = static_cast<DurationMs>(minutes) * 60 * 1000;
   const auto wall0 = std::chrono::steady_clock::now();
   sim.run(horizon);
-  RunnerResult r;
+  ScheduleResult r;
   r.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                            wall0)
                  .count();
@@ -199,10 +200,11 @@ RunnerResult run_runner(const core::ModelBank& bank,
   return r;
 }
 
-/// Lockstep vs steal on the skewed fleet; returns true when the gated
-/// criteria hold (byte-identical reports, steal >= target x ticks/s).
-bool run_runner_section(bench::BenchJson& json, int minutes) {
-  std::cout << "\n--- runner comparison: lockstep vs steal ("
+/// Sync-every-epoch vs run-ahead on the skewed fleet; returns true when
+/// the gated criteria hold (byte-identical reports, run-ahead >= target x
+/// ticks/s).
+bool run_schedule_section(bench::BenchJson& json, int minutes) {
+  std::cout << "\n--- executor schedules: sync-every-epoch vs run-ahead ("
             << kSkewShards << " shards, " << kSkewThreads
             << " threads, rotating skew, " << minutes
             << " simulated minutes) ---\n";
@@ -223,25 +225,25 @@ bool run_runner_section(bench::BenchJson& json, int minutes) {
   // Tick counters only record with the obs switch on; both runs pay the
   // same (sub-1%) overhead, so the ratio is untouched.
   obs::set_enabled(true);
-  const RunnerResult lockstep =
-      run_runner(bank, trace, fleet::RunnerKind::kLockstep, minutes);
-  const RunnerResult steal =
-      run_runner(bank, trace, fleet::RunnerKind::kSteal, minutes);
+  const ScheduleResult synced =
+      run_schedule(bank, trace, /*sync_every_epoch=*/true, minutes);
+  const ScheduleResult ahead =
+      run_schedule(bank, trace, /*sync_every_epoch=*/false, minutes);
   obs::set_enabled(false);
-  const bool parity = lockstep.report == steal.report;
-  const double ratio = lockstep.ticks_per_sec > 0.0
-                           ? steal.ticks_per_sec / lockstep.ticks_per_sec
+  const bool parity = synced.report == ahead.report;
+  const double ratio = synced.ticks_per_sec > 0.0
+                           ? ahead.ticks_per_sec / synced.ticks_per_sec
                            : 0.0;
-  // The overlap the steal runner exploits needs real cores: with fewer
-  // than kSkewThreads hardware threads both runners serialize the same
+  // The overlap run-ahead exploits needs real cores: with fewer than
+  // kSkewThreads hardware threads both schedules serialize the same
   // total work and the ratio pins to ~1x, so the speedup target is
   // reported but only enforced on machines that can express it.
   const unsigned cores = std::thread::hardware_concurrency();
   const bool gate_speedup = cores >= static_cast<unsigned>(kSkewThreads);
 
-  TablePrinter table({"runner", "wall s", "ticks/s", "session-ticks/s",
+  TablePrinter table({"schedule", "wall s", "ticks/s", "session-ticks/s",
                       "steals", "syncs", "report"});
-  const auto add = [&](const char* name, const RunnerResult& r) {
+  const auto add = [&](const char* name, const ScheduleResult& r) {
     table.add_row({name, TablePrinter::fmt(r.wall_s, 2),
                    TablePrinter::fmt(r.ticks_per_sec, 0),
                    TablePrinter::fmt(r.session_ticks_per_sec, 0),
@@ -249,7 +251,7 @@ bool run_runner_section(bench::BenchJson& json, int minutes) {
                    std::to_string(r.stats.syncs),
                    parity ? "identical" : "MISMATCH"});
     json.row()
-        .set("runner", name)
+        .set("schedule", name)
         .set("skew_shards", static_cast<double>(kSkewShards))
         .set("skew_threads", static_cast<double>(kSkewThreads))
         .set("skew_minutes", static_cast<double>(minutes))
@@ -260,25 +262,25 @@ bool run_runner_section(bench::BenchJson& json, int minutes) {
         .set("executor_syncs", static_cast<double>(r.stats.syncs))
         .set("report_parity", parity ? 1.0 : 0.0);
   };
-  add("lockstep", lockstep);
-  add("steal", steal);
+  add("sync_every_epoch", synced);
+  add("run_ahead", ahead);
   table.print(std::cout);
 
-  json.set("ticks_per_sec_ratio_steal_vs_lockstep", ratio);
-  json.set("runner_speedup_target", kRunnerSpeedupTarget);
+  json.set("ticks_per_sec_ratio_run_ahead_vs_sync", ratio);
+  json.set("runner_speedup_target", kRunAheadSpeedupTarget);
   json.set("runner_report_parity", parity ? 1.0 : 0.0);
   json.set("runner_gate_enforced", gate_speedup ? 1.0 : 0.0);
   json.set("hardware_threads", static_cast<double>(cores));
-  std::cout << "steal vs lockstep: " << TablePrinter::fmt(ratio, 2)
+  std::cout << "run-ahead vs sync-every-epoch: " << TablePrinter::fmt(ratio, 2)
             << "x ticks/s (target >= "
-            << TablePrinter::fmt(kRunnerSpeedupTarget, 2) << "x, "
+            << TablePrinter::fmt(kRunAheadSpeedupTarget, 2) << "x, "
             << (gate_speedup
                     ? "enforced"
                     : "reported only: " + std::to_string(cores) +
                           " hardware thread(s) cannot overlap shard chains")
             << "), reports " << (parity ? "byte-identical" : "DIVERGED")
             << "\n";
-  return parity && (!gate_speedup || ratio >= kRunnerSpeedupTarget);
+  return parity && (!gate_speedup || ratio >= kRunAheadSpeedupTarget);
 }
 
 }  // namespace
@@ -383,9 +385,9 @@ int main(int argc, char** argv) {
   json.set("speedup_4_shards_4_threads", speedup_4shards);
   json.set("speedup_target", 2.5);
 
-  const bool runner_ok = run_runner_section(json, skew_minutes);
+  const bool schedule_ok = run_schedule_section(json, skew_minutes);
 
   bench::write_csv("fleet_scale", csv);
   json.write();
-  return (speedup_4shards >= 2.5 && runner_ok) ? 0 : 1;
+  return (speedup_4shards >= 2.5 && schedule_ok) ? 0 : 1;
 }

@@ -408,8 +408,6 @@ struct InferenceResult {
   double compiled_scalar_rows_per_s = 0.0; ///< predict_proba_into per row
   double compiled_batch_rows_per_s = 0.0;  ///< predict_proba_batch
   double batch_predict_rows_per_s = 0.0;   ///< predict_batch (labels only)
-  double simd_proba_rows_per_s = 0.0;      ///< predict_proba_batch_simd
-  double simd_predict_rows_per_s = 0.0;    ///< predict_batch_simd
   bool parity = true;  ///< compiled == legacy, bit for bit, on every row
 };
 
@@ -438,15 +436,6 @@ InferenceResult run_inference_bench(const std::string& name,
       if (batch[i * k + c] != want[c]) res.parity = false;
     }
   }
-  // The lane-blocked SIMD walk must reproduce the serial batch bit for
-  // bit (and, transitively, the legacy walk).
-  std::vector<double> simd_proba(n * k, 0.0);
-  compiled.predict_proba_batch_simd(m, simd_proba);
-  if (simd_proba != batch) res.parity = false;
-  std::vector<int> simd_labels(n, 0), serial_labels(n, 0);
-  compiled.predict_batch(m, serial_labels);
-  compiled.predict_batch_simd(m, simd_labels);
-  if (simd_labels != serial_labels) res.parity = false;
 
   res.treewalk_rows_per_s = best_rows_per_s(n, reps, [&] {
     double sum = 0.0;
@@ -470,14 +459,6 @@ InferenceResult run_inference_bench(const std::string& name,
   res.batch_predict_rows_per_s = best_rows_per_s(n, reps, [&] {
     compiled.predict_batch(m, labels);
     return static_cast<double>(labels[0]);
-  });
-  res.simd_proba_rows_per_s = best_rows_per_s(n, reps, [&] {
-    compiled.predict_proba_batch_simd(m, simd_proba);
-    return simd_proba[0];
-  });
-  res.simd_predict_rows_per_s = best_rows_per_s(n, reps, [&] {
-    compiled.predict_batch_simd(m, simd_labels);
-    return static_cast<double>(simd_labels[0]);
   });
   return res;
 }
@@ -528,22 +509,17 @@ int run_compiled_inference_harness() {
 
   TablePrinter table({"model", "trees", "tree-walk rows/s",
                       "compiled scalar rows/s", "compiled batch rows/s",
-                      "simd batch rows/s", "batch vs walk", "simd vs batch",
-                      "parity"});
+                      "batch vs walk", "parity"});
   bool all_parity = true;
   for (const auto& r : results) {
     all_parity = all_parity && r.parity;
     const double speedup_batch =
         r.compiled_batch_rows_per_s / r.treewalk_rows_per_s;
-    const double speedup_simd =
-        r.simd_proba_rows_per_s / r.compiled_batch_rows_per_s;
     table.add_row({r.model, std::to_string(r.trees),
                    TablePrinter::fmt(r.treewalk_rows_per_s, 0),
                    TablePrinter::fmt(r.compiled_scalar_rows_per_s, 0),
                    TablePrinter::fmt(r.compiled_batch_rows_per_s, 0),
-                   TablePrinter::fmt(r.simd_proba_rows_per_s, 0),
                    TablePrinter::fmt(speedup_batch, 2) + "x",
-                   TablePrinter::fmt(speedup_simd, 2) + "x",
                    r.parity ? "exact" : "MISMATCH"});
     json.row()
         .set("model", r.model)
@@ -552,16 +528,11 @@ int run_compiled_inference_harness() {
         .set("compiled_scalar_proba_rows_per_s", r.compiled_scalar_rows_per_s)
         .set("compiled_batch_proba_rows_per_s", r.compiled_batch_rows_per_s)
         .set("compiled_batch_predict_rows_per_s", r.batch_predict_rows_per_s)
-        .set("simd_batch_proba_rows_per_s", r.simd_proba_rows_per_s)
-        .set("simd_batch_predict_rows_per_s", r.simd_predict_rows_per_s)
         .set("speedup_batch_vs_treewalk", speedup_batch)
         .set("speedup_scalar_vs_treewalk",
              r.compiled_scalar_rows_per_s / r.treewalk_rows_per_s)
         .set("speedup_batch_vs_scalar",
              r.compiled_batch_rows_per_s / r.compiled_scalar_rows_per_s)
-        .set("speedup_simd_vs_batch_proba", speedup_simd)
-        .set("speedup_simd_vs_batch_predict",
-             r.simd_predict_rows_per_s / r.batch_predict_rows_per_s)
         .set("parity", r.parity ? 1.0 : 0.0);
   }
   table.print(std::cout);

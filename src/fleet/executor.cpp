@@ -1,11 +1,11 @@
 #include "fleet/executor.h"
 
 #include <chrono>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "common/check.h"
-#include "fleet/runner.h"
 
 namespace cocg::fleet {
 
@@ -18,22 +18,22 @@ std::uint64_t wall_ns() {
           .count());
 }
 
-}  // namespace
-
-const char* runner_kind_name(RunnerKind kind) {
-  switch (kind) {
-    case RunnerKind::kLockstep: return "lockstep";
-    case RunnerKind::kSteal: return "steal";
+/// Rethrow a captured job error with the failing job's index prefixed to
+/// the message: "epoch job <idx>: <what>". Non-std::exception payloads
+/// become "epoch job <idx>: unknown exception".
+[[noreturn]] void rethrow_job_error(const std::exception_ptr& err,
+                                    std::size_t job_index) {
+  const std::string prefix = "epoch job " + std::to_string(job_index) + ": ";
+  try {
+    std::rethrow_exception(err);
+  } catch (const std::exception& e) {
+    throw std::runtime_error(prefix + e.what());
+  } catch (...) {
+    throw std::runtime_error(prefix + "unknown exception");
   }
-  return "?";
 }
 
-bool parse_runner_kind(const std::string& name, RunnerKind& out) {
-  if (name == "lockstep") out = RunnerKind::kLockstep;
-  else if (name == "steal") out = RunnerKind::kSteal;
-  else return false;
-  return true;
-}
+}  // namespace
 
 ShardExecutor::ShardExecutor(int threads, int shards) : threads_(threads) {
   COCG_EXPECTS(threads >= 1);
@@ -150,31 +150,6 @@ void ShardExecutor::drain() {
     error_ = nullptr;
     rethrow_job_error(err, idx);
   }
-}
-
-std::uint64_t ShardExecutor::jobs_run() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return jobs_run_;
-}
-
-std::uint64_t ShardExecutor::steals() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return steals_;
-}
-
-std::uint64_t ShardExecutor::steal_ns() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return steal_ns_;
-}
-
-std::uint64_t ShardExecutor::idle_waits() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return idle_waits_;
-}
-
-std::uint64_t ShardExecutor::idle_ns() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return idle_ns_;
 }
 
 ShardExecutor::Counters ShardExecutor::snapshot() const {

@@ -11,12 +11,13 @@
 // traffic::ArrivalSources once per epoch (the legacy Poisson stream, a
 // replayed trace, or both), orders the epoch's arrivals by time, and a
 // Router assigns each to a shard using only the load snapshots taken at
-// the previous epoch barrier. Shards then advance one control period in
-// parallel (EpochPool; lock-free hot loop, shards share no mutable
-// state), meet at the barrier, publish fresh snapshots, and repeat.
-// Because every cross-shard input is fixed before an epoch starts,
-// aggregate results are bit-identical for any thread count (tests/fleet
-// enforces this).
+// the last sync. Each shard advances one control period per epoch job on
+// the work-stealing ShardExecutor (lock-free hot loop, shards share no
+// mutable state); the coordinator routes epochs ahead and drains the
+// executor to publish fresh snapshots only where a sync rule demands it.
+// Because every cross-shard input is fixed before an epoch's jobs are
+// submitted, aggregate results are bit-identical for any thread count
+// (tests/fleet enforces this).
 //
 // Capture/replay: enable_capture() records every routed arrival plus the
 // router's verdict into a traffic::TraceRecorder; add_trace_arrivals()
@@ -52,14 +53,8 @@ namespace cocg::fleet {
 
 struct FleetConfig {
   int shards = 1;
-  int threads = 1;  ///< runner parallelism; never changes results, only speed
+  int threads = 1;  ///< executor workers; never changes results, only speed
   RouterPolicy policy = RouterPolicy::kRoundRobin;
-  /// Execution model: kLockstep advances all shards one epoch per barrier
-  /// (the bitwise reference); kSteal gives each shard a private epoch-job
-  /// queue (ShardExecutor) and lets the coordinator route ahead whenever
-  /// the routing policy has no load-snapshot dependency on the epoch —
-  /// reports are byte-identical either way (tests/fleet enforces it).
-  RunnerKind runner = RunnerKind::kLockstep;
   std::uint64_t seed = 42;
   /// Per-shard platform template. `platform.seed` is ignored — each shard
   /// derives its own seed from `seed` — and `platform.control_period_ms`
@@ -183,7 +178,7 @@ class Fleet {
 
   /// Stream health snapshots (obs/health.h JSONL) to `os` during run():
   /// one line per `period_ms` of simulated time, written at the epoch
-  /// barrier that reaches the due time (period 0 = every epoch). The
+  /// boundary that reaches the due time (period 0 = every epoch). The
   /// stream must outlive run(); pass nullptr to disable.
   void enable_health_stream(std::ostream* os, DurationMs period_ms = 0);
 
@@ -195,26 +190,27 @@ class Fleet {
   /// disabled fast path. Call before run().
   void set_schedule_session(schedcheck::Session* session);
 
-  /// Invoked at every epoch barrier (all shards quiescent at time `t`,
-  /// load snapshots fresh) and once after the final epoch — the schedcheck
-  /// invariant suite hangs off this. A throwing hook aborts run() with the
-  /// exception. Call before run().
+  /// Invoked at every epoch boundary, the last one included (all shards
+  /// quiescent at time `t`, load snapshots fresh) — the schedcheck
+  /// invariant suite hangs off this. Installing a hook makes every epoch a
+  /// sync. A throwing hook aborts run() with the exception. Call before
+  /// run().
   void set_barrier_hook(std::function<void(TimeMs)> hook);
 
   /// Run every shard for `duration_ms` of simulated time in epochs of one
-  /// control period, under the configured runner (lockstep barriers or the
-  /// work-stealing ShardExecutor — identical results). One-shot.
+  /// control period on the work-stealing ShardExecutor. One-shot.
   void run(DurationMs duration_ms);
 
-  /// Steal-runner schedule diagnostics from the last run() (all zeros
-  /// under lockstep). Wall-clock quantities — never part of the report.
+  /// Executor schedule diagnostics from the last run(). Wall-clock
+  /// quantities — never part of the report.
   struct ExecutorStats {
     std::uint64_t jobs_run = 0;
     std::uint64_t steals = 0;      ///< epochs executed off their home worker
     std::uint64_t steal_ns = 0;
     std::uint64_t idle_waits = 0;
     std::uint64_t idle_ns = 0;
-    std::uint64_t syncs = 0;  ///< forced drains (load-dependent routing/health)
+    /// Mid-run drains (load-based routing, health, barrier hook).
+    std::uint64_t syncs = 0;
   };
   const ExecutorStats& executor_stats() const { return exec_stats_; }
 
@@ -227,7 +223,7 @@ class Fleet {
 
   // --- aggregation ---
   FleetReport report() const;
-  /// Coordinator (router + barrier) + every shard's stage profiler,
+  /// Coordinator (router + shard sync) + every shard's stage profiler,
   /// merged in shard order.
   obs::StageProfile merged_stage_profile() const;
   /// Every shard's SLO tracker merged (identical class tables — all
@@ -253,9 +249,9 @@ class Fleet {
   };
 
   /// A routed arrival staged for injection at the start of its shard's
-  /// epoch job (steal runner): the request is scheduled onto the shard's
-  /// event queue by the worker that owns the shard for that epoch, so
-  /// engine state stays thread-confined and evolves exactly as lockstep's.
+  /// epoch job: the request is scheduled onto the shard's event queue by
+  /// the worker that owns the shard for that epoch, so engine state stays
+  /// thread-confined.
   struct StagedRequest {
     const game::GameSpec* spec = nullptr;
     std::size_t script_idx = 0;
@@ -268,12 +264,12 @@ class Fleet {
   /// Drain every arrival source for (t0, t1] into epoch_arrivals_, ordered
   /// by arrival time (stable — ties keep source registration order).
   void drain_sources(TimeMs t0, TimeMs t1);
-  /// Route epoch_arrivals_. With `staging == nullptr` requests go straight
-  /// onto shard event queues (lockstep); otherwise they are staged per
-  /// shard for injection inside that shard's epoch job (steal).
-  void route_epoch(std::vector<std::vector<StagedRequest>>* staging);
-  void run_lockstep(DurationMs duration_ms);
-  void run_steal(DurationMs duration_ms);
+  /// Route epoch_arrivals_ into staged_, one buffer per shard.
+  void route_epoch();
+  void run_epochs(DurationMs duration_ms);
+  /// Drain `exec` so every shard sits exactly at `t`, refresh the load
+  /// snapshots, run the barrier hook, and write a heartbeat if due.
+  void sync_at(ShardExecutor& exec, TimeMs t, bool health_due);
   void write_health_snapshot_now(TimeMs t);
   traffic::PoissonSource& poisson_source();
 
@@ -291,7 +287,7 @@ class Fleet {
   std::vector<std::unique_ptr<std::vector<traffic::Arrival>>> bound_;
   traffic::TraceRecorder* recorder_ = nullptr;
   std::vector<traffic::Arrival> epoch_arrivals_;  ///< per-epoch scratch
-  /// Steal-runner staging buffers, one per shard (per-epoch scratch).
+  /// Routed-arrival staging buffers, one per shard (per-epoch scratch).
   std::vector<std::vector<StagedRequest>> staged_;
   ExecutorStats exec_stats_;
   std::vector<std::size_t> region_routed_;
@@ -299,7 +295,7 @@ class Fleet {
   std::size_t next_server_shard_ = 0;
   bool ran_ = false;
 
-  /// Coordinator-side stage profiler (router + shard barrier). Owned by
+  /// Coordinator-side stage profiler (router + shard sync). Owned by
   /// the fleet — NOT a domain profiler — so repeated fleet runs in one
   /// process stay independent (the determinism tests rely on this).
   obs::StageProfiler coord_prof_;
@@ -316,8 +312,8 @@ class Fleet {
   schedcheck::Session* sched_session_ = nullptr;
   std::function<void(TimeMs)> barrier_hook_;
   TimeMs sched_now_ = 0;  ///< coordinator-stream clock (epoch start)
-  /// Live executor during run_steal() only — lets the health heartbeat
-  /// export mid-run executor counters at sync points.
+  /// Live executor during run() only — lets the health heartbeat export
+  /// mid-run executor counters at sync points.
   const ShardExecutor* live_exec_ = nullptr;
 };
 
@@ -325,7 +321,7 @@ class Fleet {
 /// `"executor"` object (wall-clock schedule diagnostics). Wall-clock
 /// numbers are not deterministic, so this variant is for operator-facing
 /// outputs; determinism tests keep using the 2-argument form. Pass
-/// all-zero stats (a lockstep run) to get a stable executor object.
+/// all-zero stats to get a stable executor object.
 void write_report_json(const FleetReport& rep, std::ostream& os,
                        const Fleet::ExecutorStats& exec);
 

@@ -42,9 +42,8 @@ struct HealthShard {
   double mean_gpu_util = 0.0;      ///< mean max-dimension GPU fraction
 };
 
-/// Work-stealing executor counters (fleet steal runner). `present` gates
-/// the field in the JSONL line — lockstep runs keep the legacy schema
-/// byte-for-byte.
+/// Work-stealing executor counters (fleet::ShardExecutor). `present` gates
+/// the field in the JSONL line; every fleet heartbeat sets it.
 struct HealthExecutor {
   bool present = false;
   std::uint64_t jobs_run = 0;

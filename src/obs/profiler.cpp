@@ -50,7 +50,7 @@ std::uint64_t StageProfiler::now_ns() {
   if (g_clock_mode.load(std::memory_order_relaxed) ==
       ProfilerClockMode::kDeterministic) {
     // Per-profiler sequence: shard profilers see the same transition counts
-    // regardless of how shards are packed onto runner threads.
+    // regardless of how shards are packed onto executor threads.
     return ++det_seq_;
   }
   return static_cast<std::uint64_t>(

@@ -47,9 +47,9 @@ enum class Stage : std::uint8_t {
   kDistributorDecide,   ///< Algorithm 1 view scan in admit()
   kRegulator,           ///< loading-steal resolve + reallocation
   kRouter,              ///< fleet per-arrival shard choice
-  kShardBarrier,        ///< fleet epoch barrier (pool run + join)
-  kExecutorSteal,       ///< steal runner: epochs run off their home worker
-  kExecutorIdle,        ///< steal runner: worker wall time with no runnable job
+  kShardBarrier,        ///< fleet shard sync (executor drain)
+  kExecutorSteal,       ///< fleet executor: epochs run off their home worker
+  kExecutorIdle,        ///< fleet executor: worker wall time with no runnable job
   kFastForward,         ///< quiescent macro-tick window materialization
 };
 

@@ -184,8 +184,8 @@ class CloudPlatform final : public PlatformView {
   /// Run the experiment for `duration_ms` of simulated time.
   void run(DurationMs duration_ms);
 
-  /// Split-phase variant of run() for lockstep execution (the fleet's
-  /// epoch/barrier model): begin() arms the periodic tasks and performs
+  /// Split-phase variant of run() for epoch-at-a-time execution (the
+  /// fleet's shard jobs): begin() arms the periodic tasks and performs
   /// the initial admission pass, advance_until() executes the event loop
   /// up to `t` (events at exactly `t` still run), finish() stops the
   /// periodic tasks. run() == begin(); advance_until(horizon); finish().

@@ -88,7 +88,6 @@ RunOutcome run_scenario(const Scenario& sc, Session* session) {
   fleet::FleetConfig fcfg;
   fcfg.shards = sc.shards;
   fcfg.threads = sc.threads;
-  fcfg.runner = sc.runner;
   fcfg.policy = sc.policy;
   fcfg.seed = sc.seed;
   fcfg.platform.incremental_resolve = sc.quiescence;
@@ -133,7 +132,8 @@ void scenario_to_meta(const Scenario& sc, Schedule& schedule) {
   schedule.set_meta("scenario", "1");
   schedule.set_meta("shards", std::to_string(sc.shards));
   schedule.set_meta("threads", std::to_string(sc.threads));
-  schedule.set_meta("runner", fleet::runner_kind_name(sc.runner));
+  // The fleet has one runner; the key stays for cocg-sched-v1 readers.
+  schedule.set_meta("runner", "steal");
   schedule.set_meta("policy", fleet::router_policy_name(sc.policy));
   schedule.set_meta("servers", std::to_string(sc.servers));
   schedule.set_meta("gpus", std::to_string(sc.gpus));
@@ -153,10 +153,11 @@ Scenario scenario_from_meta(const Schedule& schedule) {
   Scenario sc;
   sc.shards = std::stoi(require_meta(schedule, "shards"));
   sc.threads = std::stoi(require_meta(schedule, "threads"));
-  if (!fleet::parse_runner_kind(require_meta(schedule, "runner"),
-                                sc.runner)) {
-    throw std::runtime_error("schedule meta: unknown runner '" +
-                             schedule.meta_value("runner") + "'");
+  const std::string runner = require_meta(schedule, "runner");
+  if (runner != "steal") {
+    throw std::runtime_error("schedule meta: unknown runner '" + runner +
+                             "' (the lockstep runner was removed; only "
+                             "'steal' artifacts replay)");
   }
   const auto policy =
       fleet::parse_router_policy(require_meta(schedule, "policy"));

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "fleet/executor.h"
 #include "fleet/router.h"
 #include "schedcheck/invariants.h"
 #include "schedcheck/schedule.h"
@@ -22,7 +21,6 @@ namespace cocg::schedcheck {
 struct Scenario {
   int shards = 2;
   int threads = 2;
-  fleet::RunnerKind runner = fleet::RunnerKind::kLockstep;
   fleet::RouterPolicy policy = fleet::RouterPolicy::kPowerOfTwo;
   int servers = 4;  ///< total, round-robin across shards
   int gpus = 2;     ///< per server

@@ -7,7 +7,7 @@
 // shard i (admission, migration trigger, regulator victim/hold). Each
 // stream is only ever driven by one thread at a time — the coordinator is
 // single-threaded and shard epoch jobs are thread-confined — so the
-// recorded bytes are identical for any thread count and either runner.
+// recorded bytes are identical for any thread count.
 //
 // Every record carries the per-stream decision index `seq` (how many
 // decisions that stream had made when this one was taken). Replay anchors

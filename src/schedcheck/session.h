@@ -16,7 +16,7 @@
 // how the record→replay→re-record fixed-point test closes the loop.
 //
 // Thread-safety: each stream is driven by at most one thread at a time
-// (the runners guarantee this — shard jobs are thread-confined and the
+// (the fleet guarantees this — shard jobs are thread-confined and the
 // coordinator is single-threaded), so StreamCtx needs no locks. The only
 // cross-thread member is the wall-class point counter, which is atomic.
 #pragma once

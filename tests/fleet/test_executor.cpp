@@ -12,18 +12,6 @@
 namespace cocg::fleet {
 namespace {
 
-TEST(RunnerKind, NamesRoundTrip) {
-  RunnerKind k = RunnerKind::kSteal;
-  EXPECT_TRUE(parse_runner_kind("lockstep", k));
-  EXPECT_EQ(k, RunnerKind::kLockstep);
-  EXPECT_STREQ(runner_kind_name(k), "lockstep");
-  EXPECT_TRUE(parse_runner_kind("steal", k));
-  EXPECT_EQ(k, RunnerKind::kSteal);
-  EXPECT_STREQ(runner_kind_name(k), "steal");
-  EXPECT_FALSE(parse_runner_kind("barrier", k));
-  EXPECT_FALSE(parse_runner_kind("", k));
-}
-
 TEST(ShardExecutor, RunsEveryJobExactlyOnce) {
   for (int threads : {1, 2, 4}) {
     ShardExecutor exec(threads, 3);
@@ -33,7 +21,7 @@ TEST(ShardExecutor, RunsEveryJobExactlyOnce) {
     }
     exec.drain();
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << threads;
-    EXPECT_EQ(exec.jobs_run(), 30u) << threads;
+    EXPECT_EQ(exec.snapshot().jobs_run, 30u) << threads;
   }
 }
 
@@ -100,8 +88,9 @@ TEST(ShardExecutor, IdleWorkersStealForeignShards) {
   exec.submit(0, rendezvous);
   exec.submit(2, rendezvous);
   exec.drain();
-  EXPECT_EQ(exec.jobs_run(), 2u);
-  EXPECT_GT(exec.steals(), 0u);
+  const ShardExecutor::Counters c = exec.snapshot();
+  EXPECT_EQ(c.jobs_run, 2u);
+  EXPECT_GT(c.steals, 0u);
 }
 
 TEST(ShardExecutor, DrainIsRepeatableAndSubmitContinues) {
@@ -154,6 +143,18 @@ TEST(ShardExecutor, EveryFailureStillRunsLowestIndexWins) {
       EXPECT_STREQ(e.what(), "epoch job 0: boom 0") << threads;
     }
     EXPECT_EQ(attempts.load(), 16) << threads;
+  }
+}
+
+TEST(ShardExecutor, NonStdExceptionIsWrappedWithItsIndex) {
+  ShardExecutor exec(2, 2);
+  exec.submit(0, [] {});
+  exec.submit(1, [] { throw 42; });
+  try {
+    exec.drain();
+    FAIL() << "expected rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "epoch job 1: unknown exception");
   }
 }
 

@@ -270,9 +270,9 @@ TEST(Fleet, ReportJsonIsCanonical) {
   EXPECT_EQ(os.str(), json);
 }
 
-// --- steal runner: lockstep is the bitwise oracle ---
+// --- the executor against the former lockstep runner's pinned bytes ---
 
-/// Everything a run externalizes, for byte comparison across runners.
+/// Everything a run externalizes, for byte comparison.
 struct RunSurface {
   std::string report, events, metrics, trace;
 };
@@ -291,52 +291,105 @@ RunSurface run_surface(Fleet& f, DurationMs horizon) {
   return out;
 }
 
-std::unique_ptr<Fleet> make_runner_fleet(RunnerKind runner, int threads,
-                                         RouterPolicy policy) {
-  auto cfg = small_config(4, threads, policy);
-  cfg.runner = runner;
-  auto f = std::make_unique<Fleet>(cfg, greedy_factory());
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// FNV-1a digests of a RunSurface's four artifacts.
+struct SurfaceDigest {
+  std::uint64_t report, events, metrics, trace;
+};
+
+void expect_surface(const RunSurface& got, const SurfaceDigest& want,
+                    const std::string& what) {
+  EXPECT_EQ(fnv1a(got.report), want.report) << what << " report";
+  EXPECT_EQ(fnv1a(got.events), want.events) << what << " events";
+  EXPECT_EQ(fnv1a(got.metrics), want.metrics) << what << " metrics";
+  EXPECT_EQ(fnv1a(got.trace), want.trace) << what << " trace";
+}
+
+// Golden digests taken from the former lockstep runner (every shard
+// advanced one epoch, then a barrier) at threads = 1, for
+// make_runner_fleet over a 30-minute horizon. The executor must reproduce
+// them at any thread count.
+constexpr SurfaceDigest kLockstepRr{0xb8a689f5db585636, 0xa98c52298b8db0ca,
+                                     0x4f4976725120b439, 0xb27d1a892f91835a};
+constexpr SurfaceDigest kLockstepLl{0xfcbe473db4b3bfa2, 0x2d25761b0958275c,
+                                     0xf046eb0c42393644, 0xa2e32bf16d42e5c2};
+/// The `cocg-traffic-v1` bytes captured from the lockstep `ll` run over
+/// a 20-minute horizon, and that run's report and events.
+constexpr std::uint64_t kLockstepCaptureTrace = 0x31880091d146d16c;
+constexpr std::uint64_t kLockstepCaptureReport = 0xd4a8c2163fff4fac;
+constexpr std::uint64_t kLockstepCaptureEvents = 0x2f4055d3dc301b7a;
+/// Lockstep `rr` health stream: 60-s heartbeats over 10 minutes.
+constexpr std::uint64_t kLockstepHealthRr = 0x1d4487f640d3c936;
+
+std::unique_ptr<Fleet> make_runner_fleet(int threads, RouterPolicy policy) {
+  auto f = std::make_unique<Fleet>(small_config(4, threads, policy),
+                                   greedy_factory());
   for (int i = 0; i < 8; ++i) f->add_server(hw::ServerSpec{});
   f->add_global_source({&contra(), 60.0, 8});
   f->add_global_source({&csgo(), 40.0, 8});
   return f;
 }
 
-// The tentpole contract: the steal runner must reproduce the lockstep
-// runner's entire external surface byte-for-byte at any thread count,
-// under both a loads-free policy (rr — full run-ahead, no syncs) and a
-// load-based one (ll — sync every fresh-routed epoch).
+// The determinism contract: the entire external surface is byte-identical
+// to the pinned lockstep bytes at any thread count, under both a
+// loads-free policy (rr — full run-ahead, no syncs) and a load-based one
+// (ll — sync every fresh-routed epoch).
 TEST(FleetSteal, ByteIdenticalToLockstepAcrossThreadCounts) {
   ObsGuard guard(/*trace=*/true);
   constexpr DurationMs kHorizon = 30 * 60 * 1000;
+  for (const auto& [policy, golden] :
+       {std::pair{RouterPolicy::kRoundRobin, kLockstepRr},
+        std::pair{RouterPolicy::kLeastLoaded, kLockstepLl}}) {
+    for (int threads : {1, 2, 8}) {
+      auto f = make_runner_fleet(threads, policy);
+      expect_surface(run_surface(*f, kHorizon), golden,
+                     std::string(router_policy_name(policy)) +
+                         " threads=" + std::to_string(threads));
+    }
+  }
+}
+
+// Fleet::set_barrier_hook promises one call per epoch boundary, so the
+// schedcheck invariant audit sees every epoch whatever the routing policy
+// — including rr, which otherwise never syncs before the end of the run.
+TEST(FleetSteal, BarrierHookFiresAtEveryEpochBoundary) {
+  constexpr DurationMs kHorizon = 10 * 60 * 1000;
+  const DurationMs epoch = FleetConfig{}.platform.control_period_ms;
+  std::vector<TimeMs> want;
+  for (TimeMs t = epoch; t <= kHorizon; t += epoch) want.push_back(t);
   for (RouterPolicy policy :
        {RouterPolicy::kRoundRobin, RouterPolicy::kLeastLoaded}) {
-    auto lockstep = make_runner_fleet(RunnerKind::kLockstep, 1, policy);
-    const RunSurface base = run_surface(*lockstep, kHorizon);
-    ASSERT_FALSE(base.events.empty());
     for (int threads : {1, 2, 8}) {
-      auto steal = make_runner_fleet(RunnerKind::kSteal, threads, policy);
-      const RunSurface got = run_surface(*steal, kHorizon);
-      EXPECT_EQ(base.report, got.report) << threads;
-      EXPECT_EQ(base.events, got.events) << threads;
-      EXPECT_EQ(base.metrics, got.metrics) << threads;
-      EXPECT_EQ(base.trace, got.trace) << threads;
+      auto f = make_runner_fleet(threads, policy);
+      std::vector<TimeMs> seen;
+      f->set_barrier_hook([&seen](TimeMs t) { seen.push_back(t); });
+      f->run(kHorizon);
+      EXPECT_EQ(seen, want)
+          << router_policy_name(policy) << " threads=" << threads;
     }
   }
 }
 
 TEST(FleetSteal, RoundRobinRunsAheadWithoutSyncs) {
-  auto f = make_runner_fleet(RunnerKind::kSteal, 2, RouterPolicy::kRoundRobin);
+  auto f = make_runner_fleet(2, RouterPolicy::kRoundRobin);
   f->run(30 * 60 * 1000);
   const auto& es = f->executor_stats();
   EXPECT_GT(es.jobs_run, 0u);
-  // rr never reads the load snapshots and no health stream is attached,
-  // so the coordinator should never have had to drain mid-run.
+  // rr never reads the load snapshots and no health stream or barrier
+  // hook is attached, so the coordinator never has to drain mid-run.
   EXPECT_EQ(es.syncs, 0u);
 }
 
 TEST(FleetSteal, LoadBasedPolicySyncsButStaysIdentical) {
-  auto f = make_runner_fleet(RunnerKind::kSteal, 2, RouterPolicy::kLeastLoaded);
+  auto f = make_runner_fleet(2, RouterPolicy::kLeastLoaded);
   f->run(30 * 60 * 1000);
   const auto& es = f->executor_stats();
   // ll reads loads on every freshly routed epoch: syncs must happen.
@@ -345,12 +398,12 @@ TEST(FleetSteal, LoadBasedPolicySyncsButStaysIdentical) {
 }
 
 TEST(FleetSteal, HealthSnapshotsIdenticalAcrossRunnersModuloExecutor) {
-  // The steal runner appends an "executor" block (wall-clock steal/idle
-  // telemetry that has no lockstep analogue) to each heartbeat; the
-  // simulated-state portion must still match lockstep byte for byte.
+  // Every heartbeat carries an "executor" block (wall-clock steal/idle
+  // telemetry); with it stripped, the simulated-state portion must match
+  // the pinned lockstep stream, which had no such block, byte for byte.
   ObsGuard guard;
-  auto run_with = [](RunnerKind runner) {
-    auto f = make_runner_fleet(runner, 2, RouterPolicy::kRoundRobin);
+  auto run_with = [](int threads) {
+    auto f = make_runner_fleet(threads, RouterPolicy::kRoundRobin);
     std::ostringstream health;
     f->enable_health_stream(&health, 60 * 1000);
     f->run(10 * 60 * 1000);
@@ -372,45 +425,41 @@ TEST(FleetSteal, HealthSnapshotsIdenticalAcrossRunnersModuloExecutor) {
     }
     return out;
   };
-  const std::string lockstep = run_with(RunnerKind::kLockstep);
-  const std::string steal = run_with(RunnerKind::kSteal);
-  ASSERT_FALSE(lockstep.empty());
-  // Lockstep heartbeats carry no executor block at all...
-  EXPECT_EQ(lockstep.find("\"executor\""), std::string::npos);
-  // ...the steal runner's do...
-  EXPECT_NE(steal.find("\"executor\""), std::string::npos);
-  // ...and everything else is identical.
-  EXPECT_EQ(lockstep, strip_executor(steal));
+  for (int threads : {1, 2, 8}) {
+    const std::string health = run_with(threads);
+    ASSERT_FALSE(health.empty());
+    EXPECT_NE(health.find("\"executor\""), std::string::npos) << threads;
+    EXPECT_EQ(fnv1a(strip_executor(health)), kLockstepHealthRr) << threads;
+  }
 }
 
-// Capture under one runner, replay under the other: recorded verdicts
-// bypass the router entirely, so the steal replay runs fully ahead and
-// must still reproduce the capture run's report byte-for-byte.
+// Capture at one thread, replay with recorded verdicts: the verdicts
+// bypass the router entirely, so the replay runs fully ahead and must
+// still reproduce the pinned lockstep capture byte for byte.
 TEST(FleetSteal, CaptureReplayRoundTripsAcrossRunners) {
   ObsGuard guard;
   constexpr DurationMs kHorizon = 20 * 60 * 1000;
   traffic::TraceRecorder rec;
-  auto captured = make_runner_fleet(RunnerKind::kLockstep, 1,
-                                    RouterPolicy::kLeastLoaded);
+  auto captured = make_runner_fleet(1, RouterPolicy::kLeastLoaded);
   captured->enable_capture(&rec);
   const RunSurface base = run_surface(*captured, kHorizon);
   ASSERT_GT(rec.size(), 0u);
+  std::ostringstream trace_bytes;
+  traffic::write_trace(rec.trace(), trace_bytes);
+  EXPECT_EQ(fnv1a(trace_bytes.str()), kLockstepCaptureTrace);
+  EXPECT_EQ(fnv1a(base.report), kLockstepCaptureReport);
+  EXPECT_EQ(fnv1a(base.events), kLockstepCaptureEvents);
 
   const std::vector<const game::GameSpec*> specs = {&contra(), &csgo()};
-  for (RunnerKind runner : {RunnerKind::kLockstep, RunnerKind::kSteal}) {
-    for (int threads : {1, 8}) {
-      auto cfg = small_config(4, threads, RouterPolicy::kLeastLoaded);
-      cfg.runner = runner;
-      Fleet replay(cfg, greedy_factory());
-      for (int i = 0; i < 8; ++i) replay.add_server(hw::ServerSpec{});
-      replay.add_trace_arrivals(rec.trace(), specs,
-                                /*use_recorded_routing=*/true);
-      const RunSurface got = run_surface(replay, kHorizon);
-      EXPECT_EQ(base.report, got.report)
-          << runner_kind_name(runner) << " x" << threads;
-      EXPECT_EQ(base.events, got.events)
-          << runner_kind_name(runner) << " x" << threads;
-    }
+  for (int threads : {1, 2, 8}) {
+    Fleet replay(small_config(4, threads, RouterPolicy::kLeastLoaded),
+                 greedy_factory());
+    for (int i = 0; i < 8; ++i) replay.add_server(hw::ServerSpec{});
+    replay.add_trace_arrivals(rec.trace(), specs,
+                              /*use_recorded_routing=*/true);
+    const RunSurface got = run_surface(replay, kHorizon);
+    EXPECT_EQ(fnv1a(got.report), kLockstepCaptureReport) << threads;
+    EXPECT_EQ(fnv1a(got.events), kLockstepCaptureEvents) << threads;
   }
 }
 

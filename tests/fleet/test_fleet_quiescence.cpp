@@ -1,7 +1,7 @@
 // Fleet-level quiescence identity: with the resolve cache and macro-tick
 // fast-forward on, fleet reports and merged event logs must stay
 // byte-identical to the always-resolve per-tick oracle — at 1/2/8 worker
-// threads, under both runners, and through capture/replay. The quiescence
+// threads, and through capture/replay. The quiescence
 // counters themselves ride only in the extended report and the health
 // heartbeat, never in the canonical encoding these comparisons use.
 #include <gtest/gtest.h>
@@ -89,12 +89,10 @@ const game::GameSpec& det_game() {
   return g;
 }
 
-FleetConfig det_config(int shards, int threads, RunnerKind runner,
-                       bool quiescence) {
+FleetConfig det_config(int shards, int threads, bool quiescence) {
   FleetConfig cfg;
   cfg.shards = shards;
   cfg.threads = threads;
-  cfg.runner = runner;
   cfg.seed = 515;
   cfg.platform.measurement_noise_rel = 0.0;
   cfg.platform.streaming.network_jitter_ms = 0.0;
@@ -119,6 +117,21 @@ struct RunResult {
   platform::QuiescenceStats quiescence;
 };
 
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// Golden digests of canonical reports, taken from the former lockstep
+// runner (every shard advanced one epoch, then a barrier) at threads = 1:
+// the 3-shard oracle run, and the 2-shard quiescent capture run.
+constexpr std::uint64_t kOracleReport = 0xf9f4624161bb4620;
+constexpr std::uint64_t kCapturedReport = 0xed37fdc36f596cf8;
+
 RunResult run_fleet(const FleetConfig& cfg) {
   auto f = make_fleet(cfg);
   f->run(kRunMs);
@@ -127,40 +140,35 @@ RunResult run_fleet(const FleetConfig& cfg) {
 }
 
 TEST(FleetQuiescence, ReportIdenticalToOracleAcrossThreadsAndRunners) {
-  const RunResult oracle =
-      run_fleet(det_config(3, 1, RunnerKind::kLockstep, false));
+  const RunResult oracle = run_fleet(det_config(3, 1, false));
   EXPECT_EQ(oracle.quiescence.resolve_cache_hits, 0u);
   EXPECT_EQ(oracle.quiescence.ticks_skipped, 0u);
+  EXPECT_EQ(fnv1a(oracle.report), kOracleReport);
 
-  for (RunnerKind runner : {RunnerKind::kLockstep, RunnerKind::kSteal}) {
-    for (int threads : {1, 2, 8}) {
-      const RunResult fast =
-          run_fleet(det_config(3, threads, runner, true));
-      EXPECT_EQ(fast.report, oracle.report)
-          << runner_kind_name(runner) << " threads=" << threads;
-      EXPECT_EQ(fast.events, oracle.events)
-          << runner_kind_name(runner) << " threads=" << threads;
-      // The engine engaged for real on every shard aggregate.
-      EXPECT_GT(fast.quiescence.resolve_cache_hits, 0u);
-      EXPECT_GT(fast.quiescence.ticks_skipped, 0u);
-      EXPECT_GT(fast.quiescence.fast_forward_windows, 0u);
-    }
+  for (int threads : {1, 2, 8}) {
+    const RunResult fast = run_fleet(det_config(3, threads, true));
+    EXPECT_EQ(fast.report, oracle.report) << "threads=" << threads;
+    EXPECT_EQ(fast.events, oracle.events) << "threads=" << threads;
+    // The engine engaged for real on every shard aggregate.
+    EXPECT_GT(fast.quiescence.resolve_cache_hits, 0u);
+    EXPECT_GT(fast.quiescence.ticks_skipped, 0u);
+    EXPECT_GT(fast.quiescence.fast_forward_windows, 0u);
   }
 }
 
 TEST(FleetQuiescence, CapturedRunReplaysIdenticallyOnOracle) {
   // Capture under the quiescent engine, replay the identical arrival
   // stream (recorded routing) on the per-tick oracle: same report.
-  auto fast = make_fleet(det_config(2, 2, RunnerKind::kLockstep, true));
+  auto fast = make_fleet(det_config(2, 2, true));
   traffic::TraceRecorder recorder;
   fast->enable_capture(&recorder);
   fast->run(kRunMs);
   const std::string fast_report = report_json(fast->report());
   ASSERT_FALSE(recorder.trace().events.empty());
   EXPECT_GT(fast->report().quiescence.ticks_skipped, 0u);
+  EXPECT_EQ(fnv1a(fast_report), kCapturedReport);
 
-  Fleet oracle(det_config(2, 1, RunnerKind::kLockstep, false),
-               greedy_factory());
+  Fleet oracle(det_config(2, 1, false), greedy_factory());
   for (int i = 0; i < 4; ++i) oracle.add_server(hw::ServerSpec{});
   oracle.add_trace_arrivals(recorder.trace(), {&det_game()},
                             /*use_recorded_routing=*/true);
@@ -170,7 +178,7 @@ TEST(FleetQuiescence, CapturedRunReplaysIdenticallyOnOracle) {
 
 TEST(FleetQuiescence, ExtendedReportAndHealthCarryCounters) {
   std::ostringstream health;
-  auto f = make_fleet(det_config(2, 1, RunnerKind::kLockstep, true));
+  auto f = make_fleet(det_config(2, 1, true));
   f->enable_health_stream(&health, 5 * 60 * 1000);
   f->run(kRunMs);
   const FleetReport rep = f->report();
@@ -192,7 +200,7 @@ TEST(FleetQuiescence, ExtendedReportAndHealthCarryCounters) {
   // An oracle run keeps the legacy health schema byte-compatible: no
   // quiescence object at all.
   std::ostringstream oracle_health;
-  auto o = make_fleet(det_config(2, 1, RunnerKind::kLockstep, false));
+  auto o = make_fleet(det_config(2, 1, false));
   o->enable_health_stream(&oracle_health, 5 * 60 * 1000);
   o->run(kRunMs);
   EXPECT_EQ(oracle_health.str().find("quiescence"), std::string::npos);

@@ -75,7 +75,7 @@ TEST(SchedCorpus, EveryArtifactReproducesItsDeclaredOutcome) {
 TEST(SchedCorpus, CleanArtifactsReplayIdenticallyUnderQuiescenceAndOracle) {
   namespace fs = std::filesystem;
   const std::string dir = corpus_dir();
-  for (const char* name : {"lockstep_clean.sched", "steal_clean.sched"}) {
+  for (const char* name : {"two_shard_clean.sched", "steal_clean.sched"}) {
     SCOPED_TRACE(name);
     const fs::path path = fs::path(dir) / name;
     ASSERT_TRUE(fs::exists(path)) << path;

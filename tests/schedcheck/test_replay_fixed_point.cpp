@@ -1,6 +1,6 @@
 // The record→replay fixed point, end to end on a real fleet:
 //  * strict replay of a recording reproduces the fleet report byte for
-//    byte at 1, 2, and 8 worker threads, for both runners;
+//    byte at 1, 2, and 8 worker threads;
 //  * re-recording the replay reproduces the schedule file byte for byte.
 #include <gtest/gtest.h>
 
@@ -10,20 +10,16 @@
 namespace cocg::schedcheck {
 namespace {
 
-Scenario small(fleet::RunnerKind runner) {
+Scenario small() {
   Scenario sc;
   sc.shards = 2;
   sc.threads = 2;
-  sc.runner = runner;
   sc.minutes = 4;
   return sc;
 }
 
-class ReplayFixedPoint
-    : public ::testing::TestWithParam<fleet::RunnerKind> {};
-
-TEST_P(ReplayFixedPoint, StrictReplayIsByteIdenticalAcrossThreads) {
-  const Scenario sc = small(GetParam());
+TEST(ReplayFixedPoint, StrictReplayIsByteIdenticalAcrossThreads) {
+  const Scenario sc = small();
   const RunOutcome rec = record_run(sc);
   ASSERT_FALSE(rec.aborted) << describe(rec.violations);
   ASSERT_GT(rec.recorded.total_records(), 0u);
@@ -51,11 +47,11 @@ TEST_P(ReplayFixedPoint, StrictReplayIsByteIdenticalAcrossThreads) {
   }
 }
 
-TEST_P(ReplayFixedPoint, RecordingItselfIsThreadCountInvariant) {
+TEST(ReplayFixedPoint, RecordingItselfIsThreadCountInvariant) {
   // Not just replay: recording at different thread counts captures the
   // same decisions, because streams are per-decision-maker, not
   // per-thread.
-  const Scenario base = small(GetParam());
+  const Scenario base = small();
   const RunOutcome rec2 = record_run(base);
   ASSERT_FALSE(rec2.aborted);
   for (int threads : {1, 8}) {
@@ -71,19 +67,10 @@ TEST_P(ReplayFixedPoint, RecordingItselfIsThreadCountInvariant) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Runners, ReplayFixedPoint,
-                         ::testing::Values(fleet::RunnerKind::kLockstep,
-                                           fleet::RunnerKind::kSteal),
-                         [](const auto& info) {
-                           return std::string(
-                               fleet::runner_kind_name(info.param));
-                         });
-
 TEST(ReplayScenarioMeta, RoundTripsThroughScheduleMeta) {
   Scenario sc;
   sc.shards = 3;
   sc.threads = 4;
-  sc.runner = fleet::RunnerKind::kSteal;
   sc.policy = fleet::RouterPolicy::kRegionAffinity;
   sc.servers = 7;
   sc.gpus = 3;
@@ -97,7 +84,7 @@ TEST(ReplayScenarioMeta, RoundTripsThroughScheduleMeta) {
   const Scenario back = scenario_from_meta(s);
   EXPECT_EQ(back.shards, sc.shards);
   EXPECT_EQ(back.threads, sc.threads);
-  EXPECT_EQ(back.runner, sc.runner);
+  EXPECT_EQ(s.meta_value("runner"), "steal");
   EXPECT_EQ(back.policy, sc.policy);
   EXPECT_EQ(back.servers, sc.servers);
   EXPECT_EQ(back.gpus, sc.gpus);
@@ -111,6 +98,23 @@ TEST(ReplayScenarioMeta, MissingKeysThrow) {
   Schedule s;
   s.streams.resize(3);
   EXPECT_THROW(scenario_from_meta(s), std::runtime_error);
+}
+
+TEST(ReplayScenarioMeta, LockstepArtifactsAreRejected) {
+  Schedule s;
+  s.streams.resize(3);
+  scenario_to_meta(Scenario{}, s);
+  s.set_meta("runner", "lockstep");
+  try {
+    scenario_from_meta(s);
+    FAIL() << "expected the removed runner to be rejected";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unknown runner 'lockstep'"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("lockstep runner was removed"), std::string::npos)
+        << what;
+  }
 }
 
 }  // namespace

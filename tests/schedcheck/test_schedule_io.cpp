@@ -53,7 +53,7 @@ TEST(ScheduleIo, MetaHelpers) {
   Schedule s;
   EXPECT_EQ(s.meta_value("seed"), "");
   s.set_meta("seed", "42");
-  s.set_meta("runner", "lockstep");
+  s.set_meta("runner", "steal");
   EXPECT_EQ(s.meta_value("seed"), "42");
   s.set_meta("seed", "7");  // replaces, never duplicates
   EXPECT_EQ(s.meta_value("seed"), "7");

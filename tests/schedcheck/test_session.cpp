@@ -178,7 +178,7 @@ TEST(SchedSession, ScopedStreamNestsAndRestores) {
   ScopedStream outer(&session, Session::kCoordinatorStream);
   decide(Point::kRouterChoice, 2, 0);
   {
-    // Inline shard job on the coordinator thread (threads=1 runners).
+    // A shard stream bound on the coordinator thread.
     ScopedStream inner(&session, 1);
     decide(Point::kAdmission, 2, 1);
   }

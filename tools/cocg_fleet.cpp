@@ -14,8 +14,9 @@
 //
 // Partitions N servers round-robin into K shards (each its own engine +
 // platform + scheduler), feeds one global open-loop Poisson arrival
-// stream per game through the router, runs the shards in lockstep epochs
-// on T threads, and prints the merged fleet report.
+// stream per game through the router, advances the shards one control
+// period per epoch job on T work-stealing executor threads, and prints the
+// merged fleet report.
 //
 // Models are trained ONCE and shared across shards through a
 // core::ModelBank (every shard aliases the same immutable compiled
@@ -61,8 +62,7 @@ int usage() {
   std::cerr
       << "usage: cocg_fleet [options]\n"
          "  --shards K             number of shards (default 2)\n"
-         "  --threads T            runner threads (default = shards)\n"
-         "  --runner R             lockstep | steal (default lockstep);"
+         "  --threads T            executor threads (default = shards);"
          " identical results, different scheduling\n"
          "  --policy P             rr | ll | p2c | region (default ll)\n"
          "  --servers N            total servers, split round-robin"
@@ -119,7 +119,6 @@ int main(int argc, char** argv) {
 
     int shards = 2;
     int threads = 0;  // 0 → match shards
-    std::string runner_name = "lockstep";
     std::string policy_name = "ll";
     int servers = 0;  // 0 → 2 per shard
     int gpus = 2;
@@ -144,7 +143,6 @@ int main(int argc, char** argv) {
       };
       if (a == "--shards") shards = tools::parse_positive_int(a, next());
       else if (a == "--threads") threads = tools::parse_positive_int(a, next());
-      else if (a == "--runner") runner_name = next();
       else if (a == "--policy") policy_name = next();
       else if (a == "--servers") servers = tools::parse_positive_int(a, next());
       else if (a == "--gpus") gpus = tools::parse_positive_int(a, next());
@@ -170,11 +168,6 @@ int main(int argc, char** argv) {
     const auto policy = fleet::parse_router_policy(policy_name);
     if (!policy) {
       std::cerr << "unknown policy: " << policy_name << "\n";
-      return usage();
-    }
-    fleet::RunnerKind runner = fleet::RunnerKind::kLockstep;
-    if (!fleet::parse_runner_kind(runner_name, runner)) {
-      std::cerr << "unknown runner: " << runner_name << "\n";
       return usage();
     }
     if (threads == 0) threads = shards;
@@ -226,7 +219,6 @@ int main(int argc, char** argv) {
     fleet::FleetConfig fcfg;
     fcfg.shards = shards;
     fcfg.threads = threads;
-    fcfg.runner = runner;
     fcfg.policy = *policy;
     fcfg.seed = seed;
     fleet::Fleet sim(fcfg, [&](int) {
@@ -276,8 +268,7 @@ int main(int argc, char** argv) {
     std::cout << "running " << shards << " shard(s) x " << servers
               << " server(s) under " << sched_name << ", policy "
               << fleet::router_policy_name(*policy) << ", " << threads
-              << " thread(s), " << fleet::runner_kind_name(runner)
-              << " runner, " << minutes << " min...\n";
+              << " thread(s), " << minutes << " min...\n";
     const auto wall0 = std::chrono::steady_clock::now();
     const DurationMs horizon = static_cast<DurationMs>(minutes) * 60 * 1000;
     sim.run(horizon);
@@ -300,13 +291,11 @@ int main(int argc, char** argv) {
                    TablePrinter::fmt(rep.qos_violation_s, 0)});
     table.add_row({"mean admission wait (s)",
                    TablePrinter::fmt(rep.mean_wait_s, 1)});
-    if (runner == fleet::RunnerKind::kSteal) {
-      const auto& es = sim.executor_stats();
-      table.add_row({"executor epochs run", std::to_string(es.jobs_run)});
-      table.add_row({"executor steals / syncs",
-                     std::to_string(es.steals) + " / " +
-                         std::to_string(es.syncs)});
-    }
+    const auto& es = sim.executor_stats();
+    table.add_row({"executor epochs run", std::to_string(es.jobs_run)});
+    table.add_row({"executor steals / syncs",
+                   std::to_string(es.steals) + " / " +
+                       std::to_string(es.syncs)});
     table.print(std::cout);
 
     TablePrinter per_shard({"shard", "servers", "routed", "completed",

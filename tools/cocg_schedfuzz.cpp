@@ -9,7 +9,7 @@
 //   cocg_schedfuzz minimize <in.sched> <out.sched> [--max-runs N]
 //
 // Scenario flags (record, and fuzz without a base schedule):
-//   --shards N --threads N --runner lockstep|steal
+//   --shards N --threads N
 //   --policy round_robin|power_of_two|region_affinity
 //   --servers N --gpus N --minutes N --games a,b,c --rate R --seed S
 //
@@ -45,7 +45,7 @@ int usage(std::ostream& err) {
          "       [--fuzz-seed S] [--max-mutations M] [--keep K]\n"
          "       [--out-dir DIR]\n"
          "  minimize <in.sched> <out.sched> [--max-runs N]\n"
-         "scenario flags: --shards N --threads N --runner lockstep|steal\n"
+         "scenario flags: --shards N --threads N\n"
          "  --policy P --servers N --gpus N --minutes N --games a,b\n"
          "  --rate R --seed S   (--fault double_host_window plants the bug)\n"
          "exit: 0 clean, 2 usage/load error, 3 violation/failures found\n";
@@ -77,12 +77,7 @@ void parse_scenario_flags(std::vector<std::string>& args,
     };
     if (a == "--shards") sc.shards = tools::parse_positive_int(a, next());
     else if (a == "--threads") sc.threads = tools::parse_positive_int(a, next());
-    else if (a == "--runner") {
-      const std::string v = next();
-      if (!fleet::parse_runner_kind(v, sc.runner)) {
-        throw std::runtime_error("unknown runner '" + v + "'");
-      }
-    } else if (a == "--policy") {
+    else if (a == "--policy") {
       const std::string v = next();
       const auto p = fleet::parse_router_policy(v);
       if (!p) throw std::runtime_error("unknown policy '" + v + "'");
