@@ -10,6 +10,7 @@
 #include <iostream>
 #include <map>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -45,11 +46,52 @@ inline core::OfflineConfig bench_offline_config(std::uint64_t seed = 2024) {
   return cfg;
 }
 
-/// Machine-readable experiment results: top-level scalar metrics plus an
-/// array of per-configuration rows, written as BENCH_<experiment>.json
-/// beside the binary. The perf trajectory tracks these files across PRs,
-/// so keys should stay stable (wall-clock and throughput numbers
-/// especially).
+// Build facts bench/CMakeLists.txt passes in.
+#ifndef COCG_BUILD_TYPE
+#define COCG_BUILD_TYPE "unknown"
+#endif
+#ifndef COCG_CXX_FLAGS
+#define COCG_CXX_FLAGS "unknown"
+#endif
+
+/// The machine a result was measured on, as a JSON object: CPU model,
+/// hardware threads, compiler and version, build type and C++ flags.
+/// cocg_benchdiff warns when a baseline's fingerprint differs from the
+/// candidate's, because absolute numbers then compare two machines.
+inline std::string machine_json() {
+  std::string cpu = "unknown";
+  std::ifstream info("/proc/cpuinfo");
+  for (std::string line; std::getline(info, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto value = line.find_first_not_of(" \t", line.find(':') + 1);
+    if (value != std::string::npos) cpu = line.substr(value);
+    break;
+  }
+#if defined(__clang__)
+  const std::string compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = "GCC " __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+  auto str = [](const std::string& v) {
+    std::string quoted = "\"";
+    quoted += obs::json_escape(v);
+    quoted += '"';
+    return quoted;
+  };
+  return "{\"cpu_model\":" + str(cpu) + ",\"hardware_concurrency\":" +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ",\"compiler\":" + str(compiler) +
+         ",\"build_type\":" + str(COCG_BUILD_TYPE) +
+         ",\"cxx_flags\":" + str(COCG_CXX_FLAGS) + "}";
+}
+
+/// Machine-readable experiment results: top-level scalar metrics, the
+/// machine fingerprint, and an array of per-configuration rows, written
+/// as BENCH_<experiment>.json beside the binary. The perf trajectory
+/// tracks these files across PRs, so keys should stay stable (wall-clock
+/// and throughput numbers especially).
 class BenchJson {
  public:
   explicit BenchJson(std::string experiment)
@@ -85,6 +127,7 @@ class BenchJson {
     const std::string path = "BENCH_" + experiment_ + ".json";
     std::ofstream os(path);
     os << "{\"experiment\":\"" << obs::json_escape(experiment_) << "\"";
+    os << ",\"machine\":" << machine_json();
     for (const auto& [k, v] : top_) {
       os << ",\"" << obs::json_escape(k) << "\":" << v;
     }

@@ -1,7 +1,7 @@
 // GameSession: the runtime stage machine of one running cloud game.
 //
 // Driven at a 1-second tick by the platform. Each tick the session states a
-// demand; the hardware (via the ContentionModel) states what it supplied;
+// demand; the hardware (via hw::resolve_server) states what it supplied;
 // the session then advances:
 //  * execution stages progress in wall time regardless of supply — players
 //    keep playing, they just see a degraded frame rate;

@@ -6,8 +6,8 @@
 // single GPU ("each game is deployed on a single GPU device", §IV-C).
 //
 // Allocations are cgroup-style caps: a session never receives more than its
-// allocation in any dimension; the ContentionModel resolves what it actually
-// receives when allocations oversubscribe the hardware.
+// allocation in any dimension; hw::resolve_server (contention.h) resolves
+// what it actually receives when allocations oversubscribe the hardware.
 //
 // Storage: hosted sessions live in a dense vector sorted by session id.
 // Placement changes (place/remove/reallocate) are control-plane rare;
@@ -103,7 +103,7 @@ class Server {
   const std::vector<HostedSession>& hosted() const { return sessions_; }
 
   /// Demand epoch: a monotone counter that advances whenever the resolve
-  /// inputs this server presents to the contention model may have changed —
+  /// inputs this server presents to resolve_server may have changed —
   /// every successful place/remove/reallocate bumps it internally, and the
   /// platform bumps it explicitly when a hosted session's stated demand
   /// changes (stage transition, jitter redraw, spike, regulator hold).

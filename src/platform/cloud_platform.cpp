@@ -5,7 +5,6 @@
 #include "common/check.h"
 #include "common/log.h"
 #include "game/plan.h"
-#include "hw/batch_kernels.h"
 #include "schedcheck/fault.h"
 #include "schedcheck/session.h"
 
@@ -379,30 +378,22 @@ DurationMs CloudPlatform::hardware_tick() {
         util[g].total_supplied = ResourceVector{};
         util[g].max_dim_fraction = 0.0;
       }
-      // CPU/RAM are charged to every view; every view adds the same
-      // supplies in the same session order, so one ordered sum over the
-      // SoA supply lanes equals each view's former sequential total
-      // bit-for-bit. GPU dims bucket to the pinned view in draw order.
-      const auto& lanes = cache.resolve.lanes;
-      const std::size_t ndraws = draws.size();
-      const double cpu_sum = hw::batch::sum_ordered(
-          lanes.supplied[static_cast<std::size_t>(Dim::kCpuPct)].data(),
-          ndraws);
-      const double ram_sum = hw::batch::sum_ordered(
-          lanes.supplied[static_cast<std::size_t>(Dim::kRamMb)].data(),
-          ndraws);
+      // CPU/RAM are charged to every view, and every view adds the same
+      // supplies in session order, so one strictly sequential sum is each
+      // view's total bit-for-bit. GPU dims bucket to the pinned view in
+      // draw order.
+      double cpu_sum = 0.0, ram_sum = 0.0;
+      for (std::size_t i = 0; i < supplies.size(); ++i) {
+        const ResourceVector& sup = supplies[i].supplied;
+        cpu_sum += sup[Dim::kCpuPct];
+        ram_sum += sup[Dim::kRamMb];
+        auto& pinned = util[static_cast<std::size_t>(draws[i].gpu_index)];
+        pinned.total_supplied[Dim::kGpuPct] += sup[Dim::kGpuPct];
+        pinned.total_supplied[Dim::kGpuMemMb] += sup[Dim::kGpuMemMb];
+      }
       for (std::size_t g = 0; g < ngpus; ++g) {
         util[g].total_supplied[Dim::kCpuPct] = cpu_sum;
         util[g].total_supplied[Dim::kRamMb] = ram_sum;
-      }
-      const double* gpu_lane =
-          lanes.supplied[static_cast<std::size_t>(Dim::kGpuPct)].data();
-      const double* vram_lane =
-          lanes.supplied[static_cast<std::size_t>(Dim::kGpuMemMb)].data();
-      for (std::size_t i = 0; i < ndraws; ++i) {
-        auto& pinned = util[static_cast<std::size_t>(draws[i].gpu_index)];
-        pinned.total_supplied[Dim::kGpuPct] += gpu_lane[i];
-        pinned.total_supplied[Dim::kGpuMemMb] += vram_lane[i];
       }
       for (std::size_t g = 0; g < ngpus; ++g) {
         UtilizationPoint& up = util[g];

@@ -280,7 +280,7 @@ class CloudPlatform final : public PlatformView {
     std::vector<SessionId> done;        ///< finished sessions, pre-sort
   };
   /// Per-server resolve state. A hit (epoch unchanged since `stamp`) reuses
-  /// `draws` and `resolve.out`/`resolve.lanes` verbatim; a miss (or the
+  /// `draws` and `resolve.out` verbatim; a miss (or the
   /// always-resolve oracle) rebuilds both in place, so hit and miss ticks
   /// read identical buffers.
   struct ResolveCache {

@@ -266,5 +266,167 @@ TEST(BenchDiffCli, GateFlagSelectsWhichKeysAreGated) {
   EXPECT_EQ(run_benchdiff_cli({bad, base, "--gate", "wall_s"}, out, err), 0);
 }
 
+// --- a gated metric that vanishes from the candidate fails the gate ---
+
+TEST(BenchDiffCli, RenamedGatedTopKeyFailsAndIsNamed) {
+  TempDir dir("vanished_top");
+  const std::string base = dir.file(
+      "BENCH_base.json",
+      "{\"experiment\":\"tick\",\"ticks_per_sec_a\":100.0,\"rows\":[]}");
+  const std::string cand = dir.file(
+      "BENCH_cand.json",
+      "{\"experiment\":\"tick\",\"ticks_per_sec_b\":100.0,\"rows\":[]}");
+  std::ostringstream out, err;
+  EXPECT_EQ(run_benchdiff_cli({cand, base}, out, err), 1);
+  EXPECT_NE(out.str().find("ticks_per_sec_a"), std::string::npos);
+  EXPECT_NE(out.str().find("FAIL"), std::string::npos);
+  EXPECT_EQ(out.str().find("PASS"), std::string::npos);
+}
+
+TEST(BenchDiffCli, GatedKeyMissingFromPairedRowFails) {
+  TempDir dir("vanished_row_key");
+  const std::string base = dir.file("BENCH_base.json", kBaseline);
+  // Row 1 pairs by position and labels but no longer reports
+  // ticks_per_sec.
+  const std::string cand = dir.file(
+      "BENCH_cand.json",
+      "{\"experiment\":\"tick\",\"ticks_per_sec_s1\":1000.0,\"rows\":["
+      "{\"servers\":1,\"obs\":\"off\",\"ticks_per_sec\":1000.0,"
+      "\"wall_s\":1.0},{\"servers\":8,\"obs\":\"on\",\"wall_s\":2.0}]}");
+  std::ostringstream out, err;
+  EXPECT_EQ(run_benchdiff_cli({cand, base}, out, err), 1);
+  EXPECT_NE(out.str().find("rows[1] ticks_per_sec"), std::string::npos);
+}
+
+TEST(BenchDiffCli, GatedRowWithoutPartnerByLabelFallbackFails) {
+  TempDir dir("vanished_fallback");
+  const std::string base = dir.file("BENCH_base.json", kBaseline);
+  // Candidate lost the s8 row: the row counts differ, label matching
+  // pairs only rows[0], and rows[1]'s gate would go unchecked.
+  const std::string cand = dir.file(
+      "BENCH_cand.json",
+      "{\"experiment\":\"tick\",\"ticks_per_sec_s1\":1000.0,\"rows\":["
+      "{\"servers\":1,\"obs\":\"off\",\"ticks_per_sec\":1000.0,"
+      "\"wall_s\":1.0}]}");
+  std::ostringstream out, err;
+  EXPECT_EQ(run_benchdiff_cli({cand, base}, out, err), 1);
+  EXPECT_NE(out.str().find("rows[1] (ticks_per_sec)"), std::string::npos);
+}
+
+TEST(BenchDiffCli, GatedRowWithoutPartnerByLabelMismatchFails) {
+  TempDir dir("vanished_mismatch");
+  const std::string base = dir.file("BENCH_base.json", kBaseline);
+  // Same row count, but row 1's obs label changed: it is skipped, so its
+  // gated ticks_per_sec has no candidate to compare with.
+  const std::string cand = dir.file(
+      "BENCH_cand.json",
+      "{\"experiment\":\"tick\",\"ticks_per_sec_s1\":1000.0,\"rows\":["
+      "{\"servers\":1,\"obs\":\"off\",\"ticks_per_sec\":1000.0,"
+      "\"wall_s\":1.0},{\"servers\":8,\"obs\":\"off\","
+      "\"ticks_per_sec\":500.0,\"wall_s\":2.0}]}");
+  std::ostringstream out, err;
+  EXPECT_EQ(run_benchdiff_cli({cand, base}, out, err), 1);
+  EXPECT_NE(out.str().find("rows[1] (ticks_per_sec)"), std::string::npos);
+}
+
+TEST(BenchDiffCli, UngatedRowWithoutPartnerStillPasses) {
+  TempDir dir("ungated_row");
+  const std::string base = dir.file(
+      "BENCH_base.json",
+      "{\"experiment\":\"x\",\"ticks_per_sec\":10.0,\"rows\":["
+      "{\"label\":\"a\",\"wall_s\":1.0},{\"label\":\"b\",\"wall_s\":1.0}]}");
+  const std::string cand = dir.file(
+      "BENCH_cand.json",
+      "{\"experiment\":\"x\",\"ticks_per_sec\":10.0,\"rows\":["
+      "{\"label\":\"a\",\"wall_s\":1.0}]}");
+  std::ostringstream out, err;
+  EXPECT_EQ(run_benchdiff_cli({cand, base}, out, err), 0);
+}
+
+TEST(BenchDiffCli, ThresholdParsesStrictly) {
+  TempDir dir("threshold");
+  const std::string base = dir.file("BENCH_base.json", kBaseline);
+  const std::string bad =
+      dir.file("BENCH_bad.json", candidate_with(1000.0, 400.0));
+  for (const char* v : {"abc", "0.1x", "", "nan", "inf", "1", "1.5", "-0.1",
+                        "1e999"}) {
+    std::ostringstream out, err;
+    EXPECT_EQ(run_benchdiff_cli({bad, base, "--threshold", v}, out, err), 2)
+        << v;
+    EXPECT_NE(err.str().find("--threshold"), std::string::npos) << v;
+  }
+  std::ostringstream out, err;
+  EXPECT_EQ(run_benchdiff_cli({bad, base, "--threshold", "0.25"}, out, err),
+            0);
+  EXPECT_EQ(run_benchdiff_cli({bad, base, "--threshold", "0"}, out, err), 1);
+}
+
+// --- the machine fingerprint ---
+
+TEST(BenchDiffCli, NestedObjectsAreNotDiffed) {
+  // The "machine" fingerprint is a nested object; its numbers (even one
+  // named like a gated key, and missing from the candidate) never enter
+  // the numeric diff.
+  const std::string base_text =
+      "{\"experiment\":\"tick\",\"ticks_per_sec\":100.0,\"machine\":"
+      "{\"hardware_concurrency\":4,\"ticks_per_sec_fake\":1.0},\"rows\":[]}";
+  const std::string cand_text =
+      "{\"experiment\":\"tick\",\"ticks_per_sec\":100.0,\"machine\":"
+      "{\"hardware_concurrency\":64},\"rows\":[]}";
+  const BenchDiff d = diff_bench(parse(base_text), parse(cand_text));
+  ASSERT_EQ(d.metrics.size(), 1u);
+  EXPECT_EQ(d.metrics[0].key, "ticks_per_sec");
+  EXPECT_FALSE(d.any_regression);
+
+  TempDir dir("nested");
+  const std::string base = dir.file("BENCH_base.json", base_text);
+  const std::string cand = dir.file("BENCH_cand.json", cand_text);
+  std::ostringstream out, err;
+  EXPECT_EQ(run_benchdiff_cli({cand, base}, out, err), 0);
+}
+
+TEST(BenchDiffCli, MachineFingerprintMismatchWarnsWithoutChangingExit) {
+  TempDir dir("machine");
+  const std::string machine_a =
+      "\"machine\":{\"cpu_model\":\"Xeon A\",\"hardware_concurrency\":4}";
+  const std::string machine_b =
+      "\"machine\":{\"cpu_model\":\"Epyc B\",\"hardware_concurrency\":64}";
+  auto doc = [](const std::string& machine, double tps) {
+    std::ostringstream os;
+    os << "{\"experiment\":\"tick\"," << machine
+       << (machine.empty() ? "" : ",") << "\"ticks_per_sec\":" << tps
+       << ",\"rows\":[]}";
+    return os.str();
+  };
+  const std::string base_a = dir.file("base_a.json", doc(machine_a, 100.0));
+  const std::string base_none = dir.file("base_none.json", doc("", 100.0));
+  const std::string cand_a = dir.file("cand_a.json", doc(machine_a, 100.0));
+  const std::string cand_b = dir.file("cand_b.json", doc(machine_b, 100.0));
+  const std::string cand_b_bad =
+      dir.file("cand_b_bad.json", doc(machine_b, 50.0));
+
+  std::ostringstream out, err;
+  EXPECT_EQ(run_benchdiff_cli({cand_a, base_a}, out, err), 0);
+  EXPECT_EQ(out.str().find("machine fingerprint"), std::string::npos);
+
+  out.str("");
+  EXPECT_EQ(run_benchdiff_cli({cand_b, base_a}, out, err), 0);
+  EXPECT_NE(out.str().find("machine fingerprint differs"), std::string::npos);
+  EXPECT_NE(out.str().find("cpu_model=Xeon A; hardware_concurrency=4"),
+            std::string::npos);
+  EXPECT_NE(out.str().find("cpu_model=Epyc B; hardware_concurrency=64"),
+            std::string::npos);
+
+  out.str("");
+  EXPECT_EQ(run_benchdiff_cli({cand_b, base_none}, out, err), 0);
+  EXPECT_NE(out.str().find("machine fingerprint is absent"),
+            std::string::npos);
+  EXPECT_NE(out.str().find("baseline machine:  (none)"), std::string::npos);
+
+  // A regression still exits 1 across machines.
+  out.str("");
+  EXPECT_EQ(run_benchdiff_cli({cand_b_bad, base_a}, out, err), 1);
+}
+
 }  // namespace
 }  // namespace cocg::tools

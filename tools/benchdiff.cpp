@@ -1,12 +1,13 @@
 #include "benchdiff.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 
+#include "cli_parse.h"
 #include "common/table.h"
 
 namespace cocg::tools {
@@ -21,7 +22,8 @@ bool is_gated(const std::string& key, const BenchDiffOptions& opts) {
 }
 
 /// Append diffs for every numeric field present in both objects, in the
-/// baseline's (map-sorted) key order.
+/// baseline's (map-sorted) key order. A gated baseline field the
+/// candidate lacks is recorded as vanished.
 void diff_numeric_fields(const obs::JsonValue& base, const obs::JsonValue& cand,
                          const std::string& where,
                          const BenchDiffOptions& opts, BenchDiff& out) {
@@ -29,6 +31,10 @@ void diff_numeric_fields(const obs::JsonValue& base, const obs::JsonValue& cand,
     if (bval.kind != obs::JsonValue::Kind::kNumber) continue;
     const obs::JsonValue* cval = cand.find(key);
     if (cval == nullptr || cval->kind != obs::JsonValue::Kind::kNumber) {
+      if (is_gated(key, opts)) {
+        out.vanished.push_back(where + " " + key +
+                               ": gated metric missing from the candidate");
+      }
       continue;
     }
     MetricDiff m;
@@ -42,6 +48,23 @@ void diff_numeric_fields(const obs::JsonValue& base, const obs::JsonValue& cand,
         m.gated && m.baseline > 0.0 && m.ratio < 1.0 - opts.threshold;
     if (m.regression) out.any_regression = true;
     out.metrics.push_back(std::move(m));
+  }
+}
+
+/// A baseline row that found no candidate partner: if it holds gated
+/// keys, its gate would silently stop being checked, so it vanishes.
+void note_unpaired_row(const obs::JsonValue& brow, const std::string& where,
+                       const BenchDiffOptions& opts, BenchDiff& out) {
+  std::string gated;
+  for (const auto& [key, bval] : brow.object) {
+    if (bval.kind != obs::JsonValue::Kind::kNumber || !is_gated(key, opts)) {
+      continue;
+    }
+    gated += gated.empty() ? key : ", " + key;
+  }
+  if (!gated.empty()) {
+    out.vanished.push_back(where + " (" + gated +
+                           "): gated row has no candidate row");
   }
 }
 
@@ -93,13 +116,35 @@ bool load_json_file(const std::string& path, obs::JsonValue& out,
   return true;
 }
 
+/// One-line rendering of a BENCH document's "machine" fingerprint
+/// (bench_util.h): its fields as sorted `key=value` pairs, or "(none)"
+/// when the document has none.
+std::string machine_fingerprint(const obs::JsonValue& doc) {
+  const obs::JsonValue* m = doc.find("machine");
+  if (m == nullptr || !m->is_object()) return "(none)";
+  std::string text;
+  for (const auto& [key, v] : m->object) {
+    if (!text.empty()) text += "; ";
+    text += key + "=";
+    if (v.kind == obs::JsonValue::Kind::kString) {
+      text += v.string;
+    } else if (v.kind == obs::JsonValue::Kind::kNumber) {
+      text += obs::json_number(v.number);
+    } else {
+      text += "?";
+    }
+  }
+  return text;
+}
+
 int usage(std::ostream& err) {
   err << "usage: cocg_benchdiff <candidate.json> [baseline.json|dir]\n"
          "  baseline defaults to bench/baselines (directory: picks the\n"
          "  file whose \"experiment\" matches the candidate's)\n"
          "  --threshold X   gated regression bound (default 0.10)\n"
          "  --gate \"a,b\"    gated key prefixes (default ticks_per_sec)\n"
-         "exit: 0 ok, 1 gated regression, 2 usage/parse error\n";
+         "exit: 0 ok, 1 gated regression or gated metric missing from the\n"
+         "  candidate, 2 usage/parse error\n";
   return 2;
 }
 
@@ -144,6 +189,7 @@ BenchDiff diff_bench(const obs::JsonValue& baseline,
       if (it == by_label.end()) {
         out.warnings.push_back("rows[" + std::to_string(i) + "] {" + key +
                                "} has no candidate row, skipped");
+        note_unpaired_row(brow, "rows[" + std::to_string(i) + "]", opts, out);
         continue;
       }
       ++matched;
@@ -168,6 +214,7 @@ BenchDiff diff_bench(const obs::JsonValue& baseline,
     if (!labels_match(brow, crow, why)) {
       out.warnings.push_back("rows[" + std::to_string(i) +
                              "] labels differ (" + why + "), skipped");
+      note_unpaired_row(brow, "rows[" + std::to_string(i) + "]", opts, out);
       continue;
     }
     diff_numeric_fields(brow, crow, "rows[" + std::to_string(i) + "]", opts,
@@ -180,6 +227,7 @@ void write_diff_table(const BenchDiff& diff, std::ostream& os) {
   os << "experiment: "
      << (diff.experiment.empty() ? "(unnamed)" : diff.experiment) << "\n";
   for (const auto& w : diff.warnings) os << "warning: " << w << "\n";
+  for (const auto& v : diff.vanished) os << "VANISHED: " << v << "\n";
   TablePrinter table({"where", "metric", "baseline", "candidate", "ratio",
                       "status"});
   for (const auto& m : diff.metrics) {
@@ -223,9 +271,10 @@ int run_benchdiff_cli(const std::vector<std::string>& args, std::ostream& out,
     if (a == "--threshold") {
       const std::string* v = next();
       if (v == nullptr) return usage(err);
-      opts.threshold = std::atof(v->c_str());
-      if (opts.threshold < 0.0 || opts.threshold >= 1.0) {
-        err << "error: --threshold must be in [0, 1)\n";
+      try {
+        opts.threshold = parse_unit_fraction("--threshold", *v);
+      } catch (const std::runtime_error& e) {
+        err << "error: " << e.what() << "\n";
         return 2;
       }
     } else if (a == "--gate") {
@@ -282,11 +331,27 @@ int run_benchdiff_cli(const std::vector<std::string>& args, std::ostream& out,
   }
 
   out << "candidate: " << cand_path << "\nbaseline:  " << base_path << "\n";
+  // Informational only: absolute numbers from two machines still diff,
+  // but the reader should know that is what they compare.
+  const std::string base_machine = machine_fingerprint(base);
+  const std::string cand_machine = machine_fingerprint(cand);
+  if (base_machine == "(none)" || base_machine != cand_machine) {
+    out << "warning: baseline machine fingerprint "
+        << (base_machine == "(none)" ? "is absent" : "differs") << "\n"
+        << "  baseline machine:  " << base_machine << "\n"
+        << "  candidate machine: " << cand_machine << "\n";
+  }
   const BenchDiff diff = diff_bench(base, cand, opts);
   write_diff_table(diff, out);
-  if (diff.any_regression) {
-    out << "FAIL: gated metric regressed more than "
-        << static_cast<int>(opts.threshold * 100.0) << "%\n";
+  if (diff.failed()) {
+    if (diff.any_regression) {
+      out << "FAIL: gated metric regressed more than "
+          << static_cast<int>(opts.threshold * 100.0) << "%\n";
+    }
+    if (!diff.vanished.empty()) {
+      out << "FAIL: " << diff.vanished.size()
+          << " gated metric(s) or row(s) missing from the candidate\n";
+    }
     return 1;
   }
   out << "PASS: no gated regression beyond "

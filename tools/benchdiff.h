@@ -10,8 +10,9 @@
 //
 // Gated metrics — by default every key starting with "ticks_per_sec" —
 // are throughput-style higher-is-better numbers: a gated ratio below
-// 1 - threshold is a regression and flips the exit code to 1. Everything
-// else is informational. CI runs this against bench/baselines/ on the
+// 1 - threshold is a regression and flips the exit code to 1, and so does
+// a gated baseline metric with no candidate counterpart. Everything else
+// is informational. CI runs this against bench/baselines/ on the
 // uploaded BENCH artifacts (see .github/workflows), and
 // tests/tools/test_benchdiff.cpp drives run_benchdiff_cli directly.
 #pragma once
@@ -47,15 +48,23 @@ struct BenchDiff {
   std::string experiment;
   std::vector<MetricDiff> metrics;
   /// Structural complaints (row-count mismatch, label mismatch). A
-  /// non-empty list means some rows were skipped, not that the diff
-  /// failed.
+  /// non-empty list means some rows were skipped; it fails the diff only
+  /// through `vanished`.
   std::vector<std::string> warnings;
+  /// Gated baseline metrics the candidate cannot be checked against: a
+  /// gated key missing from (or not numeric in) its candidate object, or
+  /// a baseline row holding gated keys that found no candidate row. A
+  /// gate that silently stops measuring is a failure, like a regression.
+  std::vector<std::string> vanished;
   bool any_regression = false;
+
+  bool failed() const { return any_regression || !vanished.empty(); }
 };
 
 /// Compare candidate against baseline. Both must be objects in the
-/// bench_util.h shape; rows are matched by index and skipped (with a
-/// warning) when their shared string fields disagree.
+/// bench_util.h shape; rows are matched by index (by labels when the row
+/// counts differ) and skipped, with a warning, when their shared string
+/// fields disagree. A skipped baseline row with gated keys is `vanished`.
 BenchDiff diff_bench(const obs::JsonValue& baseline,
                      const obs::JsonValue& candidate,
                      const BenchDiffOptions& opts = {});
@@ -71,7 +80,8 @@ std::string resolve_baseline(const std::string& baseline_path,
                              const std::string& experiment);
 
 /// The cocg_benchdiff CLI: args excludes argv[0]. Exit codes: 0 = no
-/// gated regression, 1 = regression found, 2 = usage/parse error.
+/// gated regression, 1 = regression found or a gated metric vanished,
+/// 2 = usage/parse error.
 int run_benchdiff_cli(const std::vector<std::string>& args, std::ostream& out,
                       std::ostream& err);
 

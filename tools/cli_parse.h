@@ -69,4 +69,20 @@ inline double parse_positive_double(const std::string& flag,
   return v;
 }
 
+/// A real number in [0, 1), such as a relative regression bound; rejects
+/// non-numeric input, trailing garbage, non-finite values and anything
+/// outside the range.
+inline double parse_unit_fraction(const std::string& flag,
+                                  const std::string& value) {
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(value.c_str(), &end);
+  if (value.empty() || end == value.c_str() || *end != '\0' ||
+      errno == ERANGE || !(v >= 0.0 && v < 1.0)) {
+    throw std::runtime_error(flag + " expects a number in [0, 1), got '" +
+                             value + "'");
+  }
+  return v;
+}
+
 }  // namespace cocg::tools
