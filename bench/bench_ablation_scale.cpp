@@ -56,9 +56,11 @@ int main() {
     const double cocg = run_scale(
         std::make_unique<core::CocgScheduler>(fresh()), gpus, 4600);
     const double adv = vbp > 0 ? 100.0 * (cocg / vbp - 1.0) : 0.0;
+    std::string gain = adv >= 0 ? "+" : "";
+    gain += TablePrinter::fmt(adv, 1);
+    gain += '%';
     table.add_row({std::to_string(gpus), TablePrinter::fmt(vbp, 0),
-                   TablePrinter::fmt(cocg, 0),
-                   (adv >= 0 ? "+" : "") + TablePrinter::fmt(adv, 1) + "%"});
+                   TablePrinter::fmt(cocg, 0), gain});
     csv.push_back({std::to_string(gpus), TablePrinter::fmt(vbp, 1),
                    TablePrinter::fmt(cocg, 1), TablePrinter::fmt(adv, 2)});
   }

@@ -54,6 +54,15 @@ inline core::OfflineConfig bench_offline_config(std::uint64_t seed = 2024) {
 #define COCG_CXX_FLAGS "unknown"
 #endif
 
+/// `v` as a JSON string literal. Built by appending: GCC 12's -Wrestrict
+/// misfires on `"\"" + s + "\""` in Release builds.
+inline std::string json_quoted(const std::string& v) {
+  std::string quoted = "\"";
+  quoted += obs::json_escape(v);
+  quoted += '"';
+  return quoted;
+}
+
 /// The machine a result was measured on, as a JSON object: CPU model,
 /// hardware threads, compiler and version, build type and C++ flags.
 /// cocg_benchdiff warns when a baseline's fingerprint differs from the
@@ -74,17 +83,11 @@ inline std::string machine_json() {
 #else
   const std::string compiler = "unknown";
 #endif
-  auto str = [](const std::string& v) {
-    std::string quoted = "\"";
-    quoted += obs::json_escape(v);
-    quoted += '"';
-    return quoted;
-  };
-  return "{\"cpu_model\":" + str(cpu) + ",\"hardware_concurrency\":" +
+  return "{\"cpu_model\":" + json_quoted(cpu) + ",\"hardware_concurrency\":" +
          std::to_string(std::thread::hardware_concurrency()) +
-         ",\"compiler\":" + str(compiler) +
-         ",\"build_type\":" + str(COCG_BUILD_TYPE) +
-         ",\"cxx_flags\":" + str(COCG_CXX_FLAGS) + "}";
+         ",\"compiler\":" + json_quoted(compiler) +
+         ",\"build_type\":" + json_quoted(COCG_BUILD_TYPE) +
+         ",\"cxx_flags\":" + json_quoted(COCG_CXX_FLAGS) + "}";
 }
 
 /// Machine-readable experiment results: top-level scalar metrics, the
@@ -101,7 +104,7 @@ class BenchJson {
     top_.emplace_back(key, obs::json_number(v));
   }
   void set(const std::string& key, const std::string& v) {
-    top_.emplace_back(key, "\"" + obs::json_escape(v) + "\"");
+    top_.emplace_back(key, json_quoted(v));
   }
 
   class Row {
@@ -111,7 +114,7 @@ class BenchJson {
       return *this;
     }
     Row& set(const std::string& key, const std::string& v) {
-      fields_.emplace_back(key, "\"" + obs::json_escape(v) + "\"");
+      fields_.emplace_back(key, json_quoted(v));
       return *this;
     }
 

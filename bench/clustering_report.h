@@ -49,7 +49,8 @@ inline void report_game_clustering(const game::GameSpec& spec, int forced_k,
   for (const auto& st : out.profile.stage_types) {
     std::string sig;
     for (std::size_t i = 0; i < st.clusters.size(); ++i) {
-      sig += (i ? "+" : "") + std::to_string(st.clusters[i]);
+      if (i != 0) sig += '+';
+      sig += std::to_string(st.clusters[i]);
     }
     stages.add_row({std::to_string(st.id), sig,
                     st.loading ? "loading" : "execution",

@@ -10,15 +10,15 @@ namespace cocg::core {
 
 CocgScheduler::CocgScheduler(std::map<std::string, TrainedGame> models,
                              CocgConfig cfg)
-    : models_(std::move(models)),
-      cfg_(cfg),
+    : cfg_(cfg),
       distributor_(cfg.distributor),
       regulator_(cfg.regulator),
       rng_(cfg.seed) {
-  COCG_EXPECTS_MSG(!models_.empty(), "CoCG needs at least one trained game");
-  for (const auto& [name, tg] : models_) {
+  COCG_EXPECTS_MSG(!models.empty(), "CoCG needs at least one trained game");
+  for (auto& [name, tg] : models) {
     COCG_EXPECTS_MSG(tg.profile != nullptr && tg.predictor != nullptr,
                      "TrainedGame must be fully populated");
+    models_[name].tg = std::move(tg);
   }
   auto& reg = obs::metrics();
   obs_accepted_ = reg.counter("scheduler.admit.accepted");
@@ -33,7 +33,7 @@ CocgScheduler::CocgScheduler(std::map<std::string, TrainedGame> models,
 const TrainedGame& CocgScheduler::model(const std::string& game) const {
   auto it = models_.find(game);
   COCG_EXPECTS_MSG(it != models_.end(), "no trained model for " + game);
-  return it->second;
+  return it->second.tg;
 }
 
 ResourceVector CocgScheduler::view_capacity(
@@ -112,9 +112,18 @@ SessionOutlook CocgScheduler::outlook_for(const SessionState& st,
   return o;
 }
 
-CandidateOutlook CocgScheduler::candidate_outlook(
-    const TrainedGame& tg, std::uint64_t player_id,
-    std::size_t script_idx) const {
+const CandidateOutlook& CocgScheduler::candidate_outlook(
+    GameModel& gm, std::uint64_t player_id, std::size_t script_idx) {
+  const TrainedGame& tg = gm.tg;
+  if (gm.memo_generation != tg.predictor->generation()) {
+    gm.candidates.clear();
+    gm.memo_generation = tg.predictor->generation();
+  }
+  const std::pair<std::uint64_t, std::size_t> key{player_id, script_idx};
+  if (auto it = gm.candidates.find(key); it != gm.candidates.end()) {
+    return it->second;
+  }
+
   CandidateOutlook c;
   const auto& profile = *tg.profile;
   // Opening stage: the initialization loading (cheap on GPU).
@@ -139,13 +148,41 @@ CandidateOutlook CocgScheduler::candidate_outlook(
   c.expected = expected_demand(profile, seq);
   c.short_game = tg.spec->short_game;
   c.expected_duration_ms = tg.mean_run_duration_ms;
-  return c;
+  return gm.candidates.emplace(key, c).first->second;
+}
+
+void CocgScheduler::refresh_views(const platform::PlatformView& view) {
+  const TimeMs now = view.now();
+  if (views_now_ == now && views_version_ == version_) return;
+  views_now_ = now;
+  views_version_ = version_;
+  views_.clear();
+  for (ServerId server : view.server_ids()) {
+    const auto& srv = view.server(server);
+    for (int g = 0; g < srv.spec().num_gpus; ++g) {
+      // Redundancy-fattened allocations may transiently oversubscribe a
+      // view; new sessions cannot be placed there until it drains.
+      if (!srv.allocated_on_gpu(g).fits_within(
+              srv.spec().per_gpu_capacity())) {
+        continue;
+      }
+      ViewSnapshot& v = views_.emplace_back();
+      v.server = server;
+      v.gpu = g;
+      v.capacity = view_capacity(view, server, g);
+      for (SessionId sid : srv.sessions_on_gpu(g)) {
+        auto it = state_.find(sid);
+        if (it == state_.end()) continue;
+        v.hosted.push_back(outlook_for(it->second, now));
+      }
+    }
+  }
 }
 
 std::optional<platform::Placement> CocgScheduler::admit(
     platform::PlatformView& view, const platform::GameRequest& req) {
   const TimeMs now = view.now();
-  auto log_decision = [&](bool admitted, std::string reason,
+  auto log_decision = [&](bool admitted, const char* reason,
                           ServerId server = ServerId{}, int gpu = -1) {
     (admitted ? obs_accepted_ : obs_rejected_).add();
     if (!obs::enabled()) return;
@@ -153,7 +190,7 @@ std::optional<platform::Placement> CocgScheduler::admit(
     ev.request = req.id.value;
     ev.game = req.spec->name;
     ev.admitted = admitted;
-    ev.reason = std::move(reason);
+    ev.reason = reason;
     ev.server = server.value;
     ev.gpu = gpu;
     ev.waited_ms = now - req.arrival;
@@ -165,12 +202,11 @@ std::optional<platform::Placement> CocgScheduler::admit(
     log_decision(false, "no trained model");
     return std::nullopt;
   }
-  const TrainedGame& tg = mit->second;
-  CandidateOutlook cand;
-  {
+  const TrainedGame& tg = mit->second.tg;
+  const CandidateOutlook& cand = [&]() -> const CandidateOutlook& {
     obs::StageScope predictor_scope(prof_predictor_);
-    cand = candidate_outlook(tg, req.player_id, req.script_idx);
-  }
+    return candidate_outlook(mit->second, req.player_id, req.script_idx);
+  }();
 
   // Best-fit complementary placement: among all views the distributor
   // admits, pick the one whose resulting expected utilization is lowest —
@@ -179,52 +215,40 @@ std::optional<platform::Placement> CocgScheduler::admit(
     ServerId server;
     int gpu = 0;
     double score = 0.0;  // resulting max-dim expected utilization
-    std::string reason;  // distributor verdict for the winning view
+    const char* reason;  // distributor verdict for the winning view
   };
   std::optional<Choice> best;
-  std::string last_reject;
+  const char* last_reject = nullptr;
 
   {
     obs::StageScope distributor_scope(prof_distributor_);
-    for (ServerId server : view.server_ids()) {
-      const auto& srv = view.server(server);
-      for (int g = 0; g < srv.spec().num_gpus; ++g) {
-        // Redundancy-fattened allocations may transiently oversubscribe a
-        // view; new sessions cannot be placed there until it drains.
-        if (!srv.allocated_on_gpu(g).fits_within(
-                srv.spec().per_gpu_capacity())) {
-          continue;
-        }
-        const ResourceVector cap = view_capacity(view, server, g);
-        std::vector<SessionOutlook> hosted;
-        for (SessionId sid : srv.sessions_on_gpu(g)) {
-          auto it = state_.find(sid);
-          if (it == state_.end()) continue;
-          hosted.push_back(outlook_for(it->second, now));
-        }
-        const AdmitDecision d = distributor_.decide(cap, hosted, cand);
-        if (!d.admit) {
-          last_reject = d.reason;
-          continue;
-        }
+    refresh_views(view);
+    // Every view still gets its own decide(): the per-verdict counters and
+    // the logged reasons count (request, view) pairs.
+    for (const ViewSnapshot& v : views_) {
+      const AdmitDecision d = distributor_.decide(v.capacity, v.hosted, cand);
+      if (!d.admit) {
+        last_reject = d.reason;
+        continue;
+      }
 
-        ResourceVector expected_total = cand.expected;
-        for (const auto& h : hosted) expected_total += h.expected;
-        double score = 0.0;
-        for (std::size_t dim = 0; dim < kNumDims; ++dim) {
-          if (cap.at(dim) > 0.0) {
-            score = std::max(score, expected_total.at(dim) / cap.at(dim));
-          }
+      ResourceVector expected_total = cand.expected;
+      for (const auto& h : v.hosted) expected_total += h.expected;
+      double score = 0.0;
+      for (std::size_t dim = 0; dim < kNumDims; ++dim) {
+        if (v.capacity.at(dim) > 0.0) {
+          score =
+              std::max(score, expected_total.at(dim) / v.capacity.at(dim));
         }
-        if (!best || score < best->score) {
-          best = Choice{server, g, score, d.reason};
-        }
+      }
+      if (!best || score < best->score) {
+        best = Choice{v.server, v.gpu, score, d.reason};
       }
     }
   }
   if (!best) {
-    log_decision(false, last_reject.empty() ? "no capacity view available"
-                                            : last_reject);
+    log_decision(false, last_reject != nullptr ? last_reject
+                                               : "no capacity view available");
     return std::nullopt;
   }
   log_decision(true, best->reason, best->server, best->gpu);
@@ -246,6 +270,9 @@ std::optional<platform::Placement> CocgScheduler::admit(
     }
   }
   alloc = ResourceVector::min(alloc, srv.free_on_gpu(best->gpu));
+  // The request leaves the queue: its memo entry goes with it, so the memo
+  // never outgrows the queue.
+  mit->second.candidates.erase({req.player_id, req.script_idx});
   platform::Placement placement;
   placement.server = best->server;
   placement.gpu_index = best->gpu;
@@ -266,12 +293,14 @@ void CocgScheduler::on_session_start(platform::PlatformView& view,
   st.player_id = info.player_id;
   st.script_idx = info.script_idx;
   state_.emplace(sid, std::move(st));
+  ++version_;
 }
 
 void CocgScheduler::on_session_end(platform::PlatformView& view,
                                    SessionId sid) {
   (void)view;
   state_.erase(sid);
+  ++version_;
 }
 
 void CocgScheduler::update_monitor(platform::PlatformView& view,
@@ -279,14 +308,17 @@ void CocgScheduler::update_monitor(platform::PlatformView& view,
                                    bool view_saturated) {
   const auto& trace = view.session_trace(sid);
   const auto& samples = trace.samples();
-  if (samples.size() <= st.samples_consumed) return;
+  // Count samples absolutely: a windowed trace (trace_max_samples) drops
+  // its oldest samples, so buffer indices shift under the monitor.
+  const std::uint64_t dropped = trace.dropped_samples();
+  const std::uint64_t recorded = dropped + samples.size();
+  if (recorded <= st.samples_consumed) return;
 
   // Aggregate the newest detection window into one 5-second observation.
-  const std::size_t first =
-      samples.size() > cfg_.detection_window
-          ? samples.size() - cfg_.detection_window
-          : 0;
-  const std::size_t begin = std::max(first, st.samples_consumed);
+  const std::uint64_t first =
+      recorded > cfg_.detection_window ? recorded - cfg_.detection_window : 0;
+  const std::uint64_t begin =
+      std::max({first, st.samples_consumed, dropped}) - dropped;
   ResourceVector mean;
   std::size_t n = 0;
   for (std::size_t i = begin; i < samples.size(); ++i) {
@@ -295,7 +327,7 @@ void CocgScheduler::update_monitor(platform::PlatformView& view,
   }
   COCG_CHECK(n > 0);
   mean *= 1.0 / static_cast<double>(n);
-  st.samples_consumed = samples.size();
+  st.samples_consumed = recorded;
 
   const bool was_loading = st.monitor->in_loading();
   const int hits_before = st.monitor->prediction_hits();
@@ -306,7 +338,7 @@ void CocgScheduler::update_monitor(platform::PlatformView& view,
       st.monitor->prediction_hits() + st.monitor->prediction_misses();
   if (total_now > st.outcomes_reported) {
     const bool hit = st.monitor->prediction_hits() > hits_before;
-    models_.at(st.game).predictor->record_outcome(hit);
+    models_.at(st.game).tg.predictor->record_outcome(hit);
     st.outcomes_reported = total_now;
   }
   if (was_loading &&
@@ -323,6 +355,7 @@ void CocgScheduler::update_monitor(platform::PlatformView& view,
 }
 
 void CocgScheduler::control(platform::PlatformView& view) {
+  ++version_;  // monitors, models and allocations all change below
   // Step 1-3 of Fig. 8: collect, judge, predict — per session. A view is
   // saturated when the allocations pinned to it oversubscribe it; judged
   // stages on such views must not drift downward (squeezed supply mimics
@@ -350,7 +383,7 @@ void CocgScheduler::control(platform::PlatformView& view) {
     }
   }
   for (const auto& [game, _] : replace) {
-    auto& tg = models_.at(game);
+    auto& tg = models_.at(game).tg;
     if (!tg.predictor->can_retrain()) {
       // Bundle restored without its training corpus (§IV-B2 fallback
       // unavailable): keep the current model and clear the streaks so the

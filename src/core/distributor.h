@@ -23,7 +23,6 @@
 //    bounded, compensated degradation.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "common/resources.h"
@@ -65,7 +64,7 @@ struct DistributorConfig {
 
 struct AdmitDecision {
   bool admit = false;
-  std::string reason;
+  const char* reason = "";  ///< a string literal: the check never allocates
 };
 
 class Distributor {

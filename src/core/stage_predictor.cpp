@@ -81,6 +81,7 @@ void StagePredictor::train(const std::vector<TrainingRun>& runs, Rng& rng) {
 void StagePredictor::fit_active(Rng& rng) {
   const ml::Dataset all = build_dataset(corpus_);
   COCG_CHECK_MSG(!all.empty(), "corpus produced no training pairs");
+  ++generation_;
 
   // Pooled model with held-out accuracy (the paper's 75/25 split).
   accuracy_ = held_out_accuracy(cfg_.model, all, cfg_.train_fraction, rng);

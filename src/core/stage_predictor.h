@@ -96,6 +96,13 @@ class StagePredictor {
 
   ml::ModelKind model_kind() const { return cfg_.model; }
 
+  /// Model generation: bumped each time the active model is fitted (by
+  /// train() and replace_model()), never by record_outcome(). Within one
+  /// predictor object, predict_next/predict_sequence are a pure function
+  /// of their arguments and this counter, so callers may memoize
+  /// predictions keyed on it.
+  std::uint64_t generation() const { return generation_; }
+
   /// Whether replace_model/evaluate_model can retrain. False when the
   /// predictor was restored from a bundle saved without its corpus —
   /// callers (e.g. the CoCG scheduler's §IV-B2 fallback) must check this
@@ -164,6 +171,7 @@ class StagePredictor {
   double accuracy_ = 0.0;
   double online_acc_ = 0.0;
   std::size_t online_n_ = 0;
+  std::uint64_t generation_ = 0;
 };
 
 }  // namespace cocg::core

@@ -1,7 +1,11 @@
 #include "fleet/fleet.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <sstream>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include "common/check.h"
 #include "obs/json.h"
@@ -30,6 +34,18 @@ TimeMs shard_clock(const void* arg) {
   return static_cast<const platform::CloudPlatform*>(arg)->now();
 }
 
+/// Hand the free pages of every malloc arena back to the OS. Shards
+/// allocate on executor worker threads, and glibc gives each worker its own
+/// arena; after the fleet is gone those arenas keep its freed pages
+/// resident, and the next fleet's workers may be handed other arenas. A
+/// process that runs fleets back to back would otherwise grow with the
+/// number of fleets it has run, by an amount that depends on thread timing.
+void release_free_heap() {
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
+}
+
 }  // namespace
 
 Fleet::Fleet(FleetConfig cfg, const SchedulerFactory& make_scheduler)
@@ -56,7 +72,10 @@ Fleet::Fleet(FleetConfig cfg, const SchedulerFactory& make_scheduler)
   refresh_loads();
 }
 
-Fleet::~Fleet() = default;
+Fleet::~Fleet() {
+  shards_.clear();  // the bulk of a fleet's heap: free it before trimming
+  release_free_heap();
+}
 
 int Fleet::add_server(const hw::ServerSpec& spec) {
   const int shard = static_cast<int>(next_server_shard_++ %

@@ -134,6 +134,8 @@ inline constexpr int kShardPidStride = 100000;
 class Fleet {
  public:
   Fleet(FleetConfig cfg, const SchedulerFactory& make_scheduler);
+  /// Frees the shards, then returns free heap pages to the OS (glibc), so
+  /// a process's footprint does not grow with the fleets it has run.
   ~Fleet();
 
   Fleet(const Fleet&) = delete;

@@ -47,7 +47,7 @@ TEST(Distributor, ComplementaryExpectedFitAdmitted) {
   // Genshin-vs-DOTA2 shape: hosted expected 30, candidate expected 55.
   const auto dec = d.decide(kCap, {hosted(43, 30)}, candidate(80, 55));
   EXPECT_TRUE(dec.admit);
-  EXPECT_EQ(dec.reason, "complementary fit");
+  EXPECT_STREQ(dec.reason, "complementary fit");
 }
 
 TEST(Distributor, SustainedExpectedOverloadRejected) {
@@ -55,7 +55,7 @@ TEST(Distributor, SustainedExpectedOverloadRejected) {
   // Two heavy titles whose expected demands sum past the limit.
   const auto dec = d.decide(kCap, {hosted(76, 60)}, candidate(80, 58));
   EXPECT_FALSE(dec.admit);
-  EXPECT_EQ(dec.reason, "expected combined consumption exceeds limit");
+  EXPECT_STREQ(dec.reason, "expected combined consumption exceeds limit");
 }
 
 TEST(Distributor, InstantaneousOverloadRejected) {
@@ -66,7 +66,7 @@ TEST(Distributor, InstantaneousOverloadRejected) {
   c.opening = ResourceVector{55, 10, 1500, 2000};
   const auto dec = d.decide(kCap, {hosted(90, 40)}, c);
   EXPECT_FALSE(dec.admit);
-  EXPECT_EQ(dec.reason, "current combined consumption exceeds limit");
+  EXPECT_STREQ(dec.reason, "current combined consumption exceeds limit");
 }
 
 TEST(Distributor, LoadingCpuElasticityUnblocksAdmission) {
@@ -88,7 +88,7 @@ TEST(Distributor, ShortGameGapInsertion) {
   SessionOutlook h = hosted(8, 60, /*loading=*/true);
   const auto dec = d.decide(kCap, {h}, candidate(80, 55, /*short=*/true));
   EXPECT_TRUE(dec.admit);
-  EXPECT_EQ(dec.reason, "short-game gap insertion");
+  EXPECT_STREQ(dec.reason, "short-game gap insertion");
 }
 
 TEST(Distributor, ShortGameNoRoomRejected) {

@@ -159,6 +159,38 @@ TEST(StagePredictor, ReplaceModelRotates) {
   EXPECT_EQ(pred.model_kind(), ml::ModelKind::kDtc);
 }
 
+// The scheduler's candidate-outlook memo is exact only if every model
+// change moves the generation and nothing else does.
+TEST(StagePredictor, GenerationMovesWithEveryFitAndOnlyThen) {
+  const GameProfile p = toy_profile();
+  StagePredictor pred(&p, PredictorConfig{});
+  EXPECT_EQ(pred.generation(), 0u);
+  Rng rng(4);
+  pred.train(deterministic_corpus(40), rng);
+  const std::uint64_t trained = pred.generation();
+  EXPECT_NE(trained, 0u);
+
+  pred.record_outcome(true);
+  pred.record_outcome(false);
+  EXPECT_EQ(pred.generation(), trained) << "online P refinement is not a model";
+  (void)pred.predict_sequence({1}, 1, 0, 4);
+  EXPECT_EQ(pred.generation(), trained);
+
+  pred.replace_model(rng);
+  const std::uint64_t replaced = pred.generation();
+  EXPECT_NE(replaced, trained);
+  pred.train(deterministic_corpus(20), rng);
+  EXPECT_NE(pred.generation(), replaced);
+  EXPECT_NE(pred.generation(), trained);
+
+  // A refused swap leaves the model, and so the generation, untouched.
+  auto bare = StagePredictor::from_artifact(
+      pred.to_artifact(/*include_corpus=*/false), &p);
+  const std::uint64_t restored = bare->generation();
+  EXPECT_THROW(bare->replace_model(rng), std::runtime_error);
+  EXPECT_EQ(bare->generation(), restored);
+}
+
 TEST(StagePredictor, EvaluateModelAllKinds) {
   const GameProfile p = toy_profile();
   StagePredictor pred(&p, PredictorConfig{});

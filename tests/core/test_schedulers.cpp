@@ -249,6 +249,39 @@ TEST(Cocg, SessionStateCleanedUpOnEnd) {
   EXPECT_EQ(sched_ptr->total_callbacks(), 0);  // state map empty again
 }
 
+// admit() reuses one snapshot of the GPU views per instant. A session hook
+// changes what a view hosts, so it must invalidate the snapshot even when
+// the clock has not moved.
+TEST(Cocg, ViewSnapshotFollowsSessionHooksWithinOneInstant) {
+  static const auto genshin = game::make_genshin();
+  auto sched = std::make_unique<CocgScheduler>(small_models());
+  CocgScheduler* cocg = sched.get();
+  platform::CloudPlatform cloud(quiet_platform(3), std::move(sched));
+  hw::ServerSpec one_gpu;
+  one_gpu.num_gpus = 1;
+  cloud.add_server(one_gpu);
+  cloud.submit(&genshin, 0, 1);
+  cloud.begin(3600LL * 1000);
+  cloud.advance_until(60 * 1000);
+  ASSERT_EQ(cloud.running_sessions(), 1u);
+
+  platform::GameRequest req;
+  req.id = RequestId{9999};
+  req.spec = &genshin;
+  req.player_id = 1;
+  ASSERT_FALSE(cocg->admit(cloud, req).has_value());
+  // Forget every hosted session: the view now hosts no outlook, so the
+  // distributor's empty-server rule admits a candidate that fits alone.
+  for (SessionId sid : cloud.session_ids()) cocg->on_session_end(cloud, sid);
+  EXPECT_TRUE(cocg->admit(cloud, req).has_value());
+  // And back: hosting the session again rejects the candidate again.
+  for (SessionId sid : cloud.session_ids()) {
+    cocg->on_session_start(cloud, sid);
+  }
+  EXPECT_FALSE(cocg->admit(cloud, req).has_value());
+  cloud.finish();
+}
+
 TEST(Cocg, UntrainedGameStaysQueued) {
   // Train only Contra; submit Genshin → no model → request remains queued.
   OfflineConfig cfg;

@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "core/cocg_scheduler.h"
 #include "core/model_bank.h"
 #include "core/offline.h"
 #include "core/scheduler_factory.h"
@@ -519,6 +520,100 @@ TEST(FleetModelBank, SharedBankMatchesRetrainPerShard) {
   EXPECT_EQ(shared_1.report, retrain.report);
   EXPECT_EQ(shared_1.events, retrain.events);
   ASSERT_FALSE(shared_1.events.empty());
+}
+
+// --- the CoCG admission path against pinned bytes ---
+
+/// Train-once bank for the CoCG oracle runs (corpus kept, so the §IV-B2
+/// fallback can retrain mid-run).
+const core::ModelBank& oracle_bank() {
+  static const core::ModelBank bank = [] {
+    core::OfflineConfig ocfg;
+    ocfg.profiling_runs = 5;
+    ocfg.corpus_runs = 8;
+    ocfg.seed = 7;
+    core::ModelBank b;
+    for (const auto& [name, tg] :
+         core::train_suite({contra(), csgo()}, ocfg)) {
+      b.add_trained(tg);
+    }
+    return b;
+  }();
+  return bank;
+}
+
+/// An overloaded 2-shard CoCG fleet: 2 servers per shard against ~300
+/// arrivals per hour, so the queue grows and every control tick re-checks
+/// it. A hair-trigger replacement rule makes models change mid-run.
+RunSurface run_cocg_oracle(int threads, std::size_t trace_max_samples = 0) {
+  ObsGuard guard;
+  FleetConfig cfg;
+  cfg.shards = 2;
+  cfg.threads = threads;
+  cfg.policy = RouterPolicy::kLeastLoaded;
+  cfg.seed = 31;
+  cfg.platform.trace_max_samples = trace_max_samples;
+  const std::vector<game::GameSpec> suite = {contra(), csgo()};
+  core::CocgConfig ccfg;
+  ccfg.replace_model_after = 1;
+  Fleet f(cfg, [&](int) {
+    return std::make_unique<core::CocgScheduler>(
+        oracle_bank().instantiate_suite(suite), ccfg);
+  });
+  for (int i = 0; i < 4; ++i) f.add_server(hw::ServerSpec{});
+  f.add_global_source({&contra(), 180.0, 16});
+  f.add_global_source({&csgo(), 120.0, 16});
+  f.run(30 * 60 * 1000);
+  RunSurface out;
+  out.report = report_json(f.report());
+  out.events = f.merged_events_jsonl();
+  obs::MetricsRegistry merged;
+  f.merge_metrics(merged);
+  out.metrics = merged.to_json();
+  return out;
+}
+
+// Golden digests of run_cocg_oracle's report, events and metrics, taken
+// before admission became incremental (candidate-outlook memo + per-pass
+// view snapshot). Every decision, verdict counter and logged reason must
+// survive the caching, at any thread count.
+constexpr std::uint64_t kCocgOracleReport = 0x30cd0f8d8ab016cd;
+constexpr std::uint64_t kCocgOracleEvents = 0x79c81ae20a475f1e;
+constexpr std::uint64_t kCocgOracleMetrics = 0x936ded5931bb42a3;
+
+TEST(FleetCocg, OverloadedRetrainingRunMatchesPinnedDigests) {
+  for (int threads : {1, 2, 8}) {
+    const RunSurface got = run_cocg_oracle(threads);
+    const std::string what = "threads=" + std::to_string(threads);
+    EXPECT_EQ(fnv1a(got.report), kCocgOracleReport) << what;
+    EXPECT_EQ(fnv1a(got.events), kCocgOracleEvents) << what;
+    EXPECT_EQ(fnv1a(got.metrics), kCocgOracleMetrics) << what;
+    if (threads != 1) continue;
+    // The run exercises what the caches must survive: a queue that never
+    // drains and models replaced mid-run.
+    obs::JsonValue rep;
+    ASSERT_TRUE(obs::json_parse(got.report, rep));
+    double queued = 0.0;
+    for (const auto& row : rep.find("shards")->array) {
+      queued += row.get_number("queued_end", 0.0);
+    }
+    EXPECT_GT(queued, 0.0);
+    obs::JsonValue met;
+    ASSERT_TRUE(obs::json_parse(got.metrics, met));
+    EXPECT_GT(met.find("counters")->get_number("scheduler.model_replacements",
+                                              0.0),
+              0.0);
+  }
+}
+
+// A windowed telemetry trace (trace_max_samples) trims its oldest samples;
+// the CoCG monitor must keep reading the newest detection window, so the
+// run decides exactly as with unbounded traces.
+TEST(FleetCocg, TrimmedTracesDecideLikeUnboundedOnes) {
+  const RunSurface full = run_cocg_oracle(2);
+  const RunSurface capped = run_cocg_oracle(2, /*trace_max_samples=*/64);
+  EXPECT_EQ(capped.report, full.report);
+  EXPECT_EQ(capped.events, full.events);
 }
 
 }  // namespace

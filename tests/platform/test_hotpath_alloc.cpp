@@ -4,7 +4,8 @@
 // asserts that hardware_tick() performs zero heap allocation at steady
 // state: dense SessionTable lookups, scratch-arena reuse, SeqSet event
 // bookkeeping and pre-reserved telemetry buffers must keep the tick loop
-// off the allocator entirely once warmed up.
+// off the allocator entirely once warmed up. The same holds for CoCG's
+// admission check of a queued request against an unchanged platform.
 //
 // Sanitizer builds provide their own operator new and need the default
 // one for poisoning/interception, so the hook (and the strict zero
@@ -18,6 +19,8 @@
 #include <memory>
 #include <new>
 
+#include "core/cocg_scheduler.h"
+#include "core/offline.h"
 #include "game/library.h"
 #include "obs/obs.h"
 #include "platform/cloud_platform.h"
@@ -213,6 +216,53 @@ TEST(HotPathAlloc, SteadyStateTicksDoNotAllocateWithProfilingEnabled) {
 #if COCG_ALLOC_HOOK
   EXPECT_EQ(n, 0u) << "profiling-enabled hardware_tick allocated on the"
                       " steady-state path";
+#else
+  (void)n;
+  GTEST_SKIP() << "allocation hook disabled under sanitizers";
+#endif
+}
+
+/// A queued request re-checked against an unchanged platform — same
+/// instant, no control pass or session change since the last admission —
+/// reuses its memoized candidate outlook and the per-pass view snapshot.
+/// The rejection is then pure arithmetic over the snapshot: no heap
+/// allocation while the obs switch is off.
+TEST(HotPathAlloc, RejectedCocgAdmissionAgainstWarmSnapshotDoesNotAllocate) {
+  static const auto genshin = game::make_genshin();
+  core::OfflineConfig ocfg;
+  ocfg.profiling_runs = 4;
+  ocfg.corpus_runs = 8;
+  ocfg.seed = 3;
+  auto sched =
+      std::make_unique<core::CocgScheduler>(core::train_suite({genshin}, ocfg));
+  core::CocgScheduler* cocg = sched.get();
+  PlatformConfig cfg;
+  cfg.seed = 2026;
+  CloudPlatform cloud(cfg, std::move(sched));
+  cloud.add_server(hw::ServerSpec{});
+  for (int i = 0; i < 12; ++i) cloud.submit(&genshin, 0, 1 + i);
+  cloud.begin(3600LL * 1000);
+  cloud.advance_until(60 * 1000);
+  ASSERT_GT(cloud.running_sessions(), 0u);
+  ASSERT_GT(cloud.queued_requests(), 0u);
+
+  GameRequest req;
+  req.id = RequestId{9999};
+  req.spec = &genshin;
+  req.script_idx = 0;
+  req.player_id = 5;
+  req.arrival = 0;
+  ASSERT_FALSE(cocg->admit(cloud, req).has_value());  // warms both caches
+
+  arm_alloc_counter();
+  const bool admitted = cocg->admit(cloud, req).has_value();
+  disarm_alloc_counter();
+  const std::uint64_t n = allocations_observed();
+  cloud.finish();
+
+  EXPECT_FALSE(admitted);
+#if COCG_ALLOC_HOOK
+  EXPECT_EQ(n, 0u) << "a rejected CoCG admission allocated";
 #else
   (void)n;
   GTEST_SKIP() << "allocation hook disabled under sanitizers";

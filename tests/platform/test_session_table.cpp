@@ -27,12 +27,12 @@ TEST(SessionTable, EmplaceFindErase) {
 
 TEST(SessionTable, SlotsAreRecycled) {
   SessionTable<std::string> t;
-  for (std::uint64_t i = 1; i <= 8; ++i) t.emplace(SessionId{i}) = "x";
+  for (std::uint64_t i = 1; i <= 8; ++i) t.emplace(SessionId{i}) = std::string("x");
   const std::size_t slots = t.slot_count();
   // Steady churn: every admission after a departure reuses a freed slot.
   for (std::uint64_t i = 9; i <= 200; ++i) {
     t.erase(SessionId{i - 8});
-    t.emplace(SessionId{i}) = "y";
+    t.emplace(SessionId{i}) = std::string("y");
   }
   EXPECT_EQ(t.slot_count(), slots);
   EXPECT_EQ(t.size(), 8u);

@@ -82,7 +82,8 @@ void print_profile(const core::GameProfile& p) {
   for (const auto& st : p.stage_types) {
     std::string sig;
     for (std::size_t i = 0; i < st.clusters.size(); ++i) {
-      sig += (i ? "+" : "") + std::to_string(st.clusters[i]);
+      if (i != 0) sig += '+';
+      sig += std::to_string(st.clusters[i]);
     }
     stages.add_row({std::to_string(st.id), sig,
                     st.loading ? "loading" : "execution",
